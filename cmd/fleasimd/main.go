@@ -145,10 +145,30 @@ func membershipList(backendsFlag, membershipFile string) ([]string, error) {
 	return members, nil
 }
 
+// Server timeouts. A client must finish its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so a stalled or abandoned client cannot hold a connection
+// forever. Responses are not time-limited: the SSE progress stream
+// (GET /v1/jobs/{id}/events) stays open for the whole job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server serve runs.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serve runs an HTTP handler until SIGINT/SIGTERM, then calls drain while
 // the listener still answers status polls, and finally closes the listener.
 func serve(addr, mode string, handler http.Handler, drain func(context.Context) error, drainTimeout time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := newServer(addr, handler)
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,5 +41,18 @@ func TestMembershipListRejectsDuplicates(t *testing.T) {
 	}
 	if _, err := membershipList("http://host1:8081", file); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("-backends repeated in -membership: err = %v, want duplicate error", err)
+	}
+}
+
+// TestServerSetsTimeouts checks the server serve runs bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection is held.
+func TestServerSetsTimeouts(t *testing.T) {
+	srv := newServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
 	}
 }

@@ -2,8 +2,8 @@
 // Barnes et al., "Beating in-order stalls with 'flea-flicker' two-pass
 // pipelining" (MICRO-36, 2003).
 //
-// The library lives under internal/: the machine models (baseline,
-// twopass, runahead), their substrates (isa, program, sched, arch, mem,
+// The library lives under internal/: the machine models (baseline, with
+// its run-ahead mode, and twopass), their substrates (isa, program, sched, arch, mem,
 // bpred, pipeline), the benchmark suite (workload), and the evaluation
 // harness (stats, experiments, core). The cmd/ tools — fleasim, fleabench,
 // fleatrace — and the runnable examples/ are the intended entry points;

@@ -9,6 +9,10 @@
 // scoreboard carries the timing (a value written with latency L may not be
 // consumed for L cycles). Because dispatch is strictly in program order this
 // yields exact architectural state, verified against internal/arch.
+//
+// With Config.Runahead set, the same pipe is the paper's §2 run-ahead
+// comparator: a long load-dependent stall starts a checkpointed speculative
+// episode instead of idling (see runahead.go).
 package baseline
 
 import (
@@ -34,6 +38,17 @@ type Config struct {
 	Bpred      bpred.Config
 	IssueWidth int
 	FUs        [isa.NumFUClasses]int
+	// Runahead turns a long load-dependent stall into a run-ahead episode.
+	Runahead bool
+	// ExitPenalty is the number of cycles charged when leaving run-ahead
+	// mode (checkpoint restore). 0 models the idealized mechanism (the
+	// front-end refill is still paid).
+	ExitPenalty int
+	// MinStallCycles gates entry: run-ahead begins only when the
+	// remaining stall exceeds this many cycles, since each episode costs
+	// a front-end refill at exit. Dundas entered on every L1 miss; the
+	// default only chases stalls longer than the refill.
+	MinStallCycles int
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
 	// Arena, when non-nil, supplies the machine's DynInst storage so
@@ -41,15 +56,16 @@ type Config struct {
 	Arena *pipeline.Arena `json:"-"`
 }
 
-// DefaultConfig returns the Table 1 machine.
+// DefaultConfig returns the Table 1 machine, with run-ahead off.
 func DefaultConfig() Config {
 	return Config{
-		Front:      pipeline.DefaultConfig(),
-		Mem:        mem.DefaultConfig(),
-		Bpred:      bpred.DefaultConfig(),
-		IssueWidth: 8,
-		FUs:        [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
-		MaxCycles:  2_000_000_000,
+		Front:          pipeline.DefaultConfig(),
+		Mem:            mem.DefaultConfig(),
+		Bpred:          bpred.DefaultConfig(),
+		IssueWidth:     8,
+		FUs:            [isa.NumFUClasses]int{isa.ClassALU: 5, isa.ClassMEM: 3, isa.ClassFP: 3, isa.ClassBR: 3},
+		MinStallCycles: 8,
+		MaxCycles:      2_000_000_000,
 	}
 }
 
@@ -74,11 +90,24 @@ type Machine struct {
 	srcScratch  []isa.Reg
 	addrScratch []uint32
 
+	// Run-ahead episode state (see runahead.go).
+	inRunahead bool
+	exitAt     int64 // when the blocking load completes
+	resumePC   int32
+	raRegs     [isa.NumRegs]isa.Value // speculative register copy
+	raPoison   [isa.NumRegs]bool
+	raReady    [isa.NumRegs]int64
+
 	now    int64
 	halted bool
+	names  names
 	col    *stats.Collector
 	tr     *trace.Tracer
 	ctx    context.Context
+	// RunaheadEntries/RunaheadInsts count run-ahead activity. They mirror
+	// the "runahead.entries"/"runahead.insts" registry counters.
+	RunaheadEntries int64
+	RunaheadInsts   int64
 
 	// Checkpoint state (see snapshot.go). retired counts architecturally
 	// retired instructions; archPC tracks the next architectural PC so a
@@ -92,25 +121,36 @@ type Machine struct {
 	resume    *checkpoint.Snapshot
 }
 
-// modelTag identifies baseline machine snapshots.
-const modelTag = "base"
+// names are the externally visible names of one mode: the model tag of its
+// stats and snapshots, its error prefix and its scoreboard section.
+type names struct{ tag, errPrefix, section string }
+
+var (
+	baseNames     = names{"base", "baseline", "baseline.scoreboard"}
+	runaheadNames = names{"runahead", "runahead", "runahead.scoreboard"}
+)
 
 // New builds a machine over a fresh copy of the program's memory. The
 // program must satisfy Validate for the configured widths.
 func New(cfg Config, prog *program.Program) (*Machine, error) {
+	n := baseNames
+	if cfg.Runahead {
+		n = runaheadNames
+	}
 	if err := prog.Validate(cfg.IssueWidth, cfg.FUs); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, fmt.Errorf("%s: %w", n.errPrefix, err)
 	}
 	hier := mem.NewHierarchy(cfg.Mem)
 	m := &Machine{
-		cfg:  cfg,
-		prog: prog,
-		fe:   pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
-		hier: hier,
-		st:   arch.NewState(prog.InitialImage()),
+		cfg:   cfg,
+		prog:  prog,
+		fe:    pipeline.NewFrontEnd(cfg.Front, prog, hier, bpred.New(cfg.Bpred), cfg.Arena),
+		hier:  hier,
+		st:    arch.NewState(prog.InitialImage()),
+		names: n,
 	}
 	m.arena = m.fe.Arena()
-	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, "base")
+	m.col = stats.NewCollector(metrics.NewRegistry(), prog.Name, n.tag)
 	return m, nil
 }
 
@@ -123,7 +163,7 @@ func (m *Machine) State() *arch.State { return m.st }
 // has started.
 func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.Tracer) {
 	if reg != nil {
-		m.col = stats.NewCollector(reg, m.prog.Name, "base")
+		m.col = stats.NewCollector(reg, m.prog.Name, m.names.tag)
 	}
 	m.ctx = ctx
 	m.tr = tr
@@ -132,18 +172,20 @@ func (m *Machine) Attach(ctx context.Context, reg *metrics.Registry, tr *trace.T
 // Run simulates to completion and returns the measurements.
 func (m *Machine) Run() (*stats.Run, error) {
 	m.primeCounters()
+	m.syncRunaheadCounters()
 	for !m.halted {
 		if m.now >= m.cfg.MaxCycles {
-			return nil, fmt.Errorf("baseline: %q exceeded %d cycles", m.prog.Name, m.cfg.MaxCycles)
+			return nil, fmt.Errorf("%s: %q exceeded %d cycles", m.names.errPrefix, m.prog.Name, m.cfg.MaxCycles)
 		}
 		if m.ctx != nil && m.now&4095 == 0 {
 			if err := m.ctx.Err(); err != nil {
-				return nil, fmt.Errorf("baseline: %q: %w", m.prog.Name, err)
+				return nil, fmt.Errorf("%s: %q: %w", m.names.errPrefix, m.prog.Name, err)
 			}
 		}
 		if m.draining {
-			// Fetch pauses until every fetched group has dispatched; then the
-			// machine is quiesced and the snapshot is architecturally exact.
+			// Fetch pauses (and run-ahead entry is suppressed in step) until
+			// every fetched group has dispatched; then the machine is
+			// quiesced and the snapshot is architecturally exact.
 			if !m.fe.Pending() {
 				m.takeSnapshot()
 				m.fe.Redirect(m.archPC, m.now)
@@ -152,12 +194,17 @@ func (m *Machine) Run() (*stats.Run, error) {
 		} else {
 			m.fe.Tick(m.now)
 		}
-		m.step()
+		if m.inRunahead {
+			m.stepRunahead()
+		} else {
+			m.step()
+		}
 		if m.snapshotDue() {
 			m.draining = true
 		}
 		m.now++
 	}
+	m.syncRunaheadCounters()
 	r := m.col.Snapshot(m.hier.Stats())
 	if err := r.CheckInvariants(); err != nil {
 		return nil, err
@@ -166,6 +213,7 @@ func (m *Machine) Run() (*stats.Run, error) {
 }
 
 // step attempts to dispatch the head issue group and classifies the cycle.
+// In run-ahead mode a long load-dependent stall enters an episode.
 //
 //flea:hotpath
 func (m *Machine) step() {
@@ -178,11 +226,17 @@ func (m *Machine) step() {
 		}
 		return
 	}
-	if cls, blocked := m.groupBlocked(g); blocked {
+	if cls, until, blocked := m.groupBlocked(g); blocked {
 		m.col.Cycle(cls)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeA,
 				PC: g.FetchPC, Arg: int64(cls), Note: cls.String()})
+		}
+		// No run-ahead episodes while draining toward a snapshot barrier:
+		// an episode would keep speculative state (and fetched groups) in
+		// flight past the quiesce point.
+		if m.cfg.Runahead && cls == stats.LoadStall && until-m.now > int64(m.cfg.MinStallCycles) && !m.draining {
+			m.enterRunahead(g, until)
 		}
 		return
 	}
@@ -197,10 +251,11 @@ func (m *Machine) step() {
 // instruction in the group must be ready (group-granularity stall), every
 // destination must be free of a pending longer-latency write (the WAW stall
 // condition typical of EPIC scoreboards, §3.3), and the memory system must
-// be able to accept the group's loads.
+// be able to accept the group's loads. A blocked group also reports the
+// cycle it can next try to dispatch.
 //
 //flea:hotpath
-func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
+func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, wake int64, blocked bool) {
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
@@ -225,9 +280,9 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
 	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
-			return stats.LoadStall, true
+			return stats.LoadStall, blockedUntil, true
 		}
-		return stats.NonLoadDepStall, true
+		return stats.NonLoadDepStall, blockedUntil, true
 	}
 	// Operands ready: compute load addresses to check outstanding-load
 	// capacity as a group. (Address operands are ready by construction
@@ -241,9 +296,9 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (stats.CycleClass, bool) {
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
-		return stats.ResourceStall, true
+		return stats.ResourceStall, m.now + 1, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // dispatch executes an issue group whose operands are all ready.

@@ -11,19 +11,16 @@ import (
 	"fleaflicker/internal/workload"
 )
 
-// runBoth executes src on the reference executor and the baseline machine
-// and fails the test unless the final architectural states match.
-func runBoth(t *testing.T, src string) *stats.Run {
+// runVerified executes p on the reference executor and on a machine built
+// from cfg, and fails the test unless the final architectural states and
+// retired-instruction counts match.
+func runVerified(t *testing.T, cfg Config, p *program.Program) *stats.Run {
 	t.Helper()
-	p, err := program.Assemble(t.Name(), src)
+	ref, err := arch.Run(p, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := arch.Run(p, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(DefaultConfig(), p)
+	m, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +29,16 @@ func runBoth(t *testing.T, src string) *stats.Run {
 		t.Fatal(err)
 	}
 	if !m.State().Equal(ref.State) {
-		t.Fatalf("baseline state diverges from reference: %s", m.State().Diff(ref.State))
+		t.Fatalf("%s on %s: state diverges from reference: %s", m.names.tag, p.Name, m.State().Diff(ref.State))
 	}
 	if r.Instructions != ref.Instructions {
-		t.Errorf("retired %d instructions, reference retired %d", r.Instructions, ref.Instructions)
+		t.Errorf("%s on %s: retired %d instructions, reference retired %d", m.names.tag, p.Name, r.Instructions, ref.Instructions)
 	}
 	return r
 }
 
 func TestSumLoopMatchesReference(t *testing.T) {
-	r := runBoth(t, `
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         .data 0x10000000
 result: .word 0
         .text
@@ -55,14 +52,14 @@ loop:   add r1 = r1, r2
         (p1) br loop ;;
         st4 [r4] = r1 ;;
         halt ;;
-`)
+`))
 	if r.Cycles <= 0 || r.IPC() <= 0 {
 		t.Errorf("implausible cycles=%d ipc=%f", r.Cycles, r.IPC())
 	}
 }
 
 func TestPredicationMatchesReference(t *testing.T) {
-	runBoth(t, `
+	runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 5
         movi r2 = 7
         movi r10 = 0x2000 ;;
@@ -73,11 +70,11 @@ func TestPredicationMatchesReference(t *testing.T) {
         (p1) st4 [r10] = r2
         (p2) st4 [r10, 4] = r2 ;;
         halt ;;
-`)
+`))
 }
 
 func TestCallRetMatchesReference(t *testing.T) {
-	runBoth(t, `
+	runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r10 = 3
         movi r20 = 0 ;;
 loop:   br.call r63 = double ;;
@@ -87,7 +84,7 @@ loop:   br.call r63 = double ;;
         halt ;;
 double: add r10 = r10, r10 ;;
         br.ret r63 ;;
-`)
+`))
 }
 
 func TestPointerChaseMatchesReference(t *testing.T) {
@@ -115,7 +112,7 @@ loop:   ld4 r3 = [r1, 4] ;;
         st4 [r4] = r2 ;;
         halt ;;
 `)
-	r := runBoth(t, b.String())
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), b.String()))
 	// A dependent pointer chase over cold memory must be dominated by
 	// load stalls.
 	if r.ByClass[stats.LoadStall] == 0 {
@@ -135,8 +132,8 @@ func TestLoadUseLatencyTiming(t *testing.T) {
         %s
         halt ;;
 `
-	dep := runBoth(t, fmt.Sprintf(base, "add r4 = r3, r3 ;;"))
-	indep := runBoth(t, fmt.Sprintf(base, "add r4 = r1, r1 ;;"))
+	dep := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), fmt.Sprintf(base, "add r4 = r3, r3 ;;")))
+	indep := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), fmt.Sprintf(base, "add r4 = r1, r1 ;;")))
 	diff := dep.Cycles - indep.Cycles
 	if diff != 1 { // L1 latency 2 = 1 dispatch + 1 stall
 		t.Errorf("dependent consumer cost %d extra cycles, want 1", diff)
@@ -147,12 +144,12 @@ func TestLoadUseLatencyTiming(t *testing.T) {
 }
 
 func TestColdMissStallsRoughlyMemoryLatency(t *testing.T) {
-	r := runBoth(t, `
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0x40000 ;;
         ld4 r2 = [r1] ;;
         add r3 = r2, r2 ;;
         halt ;;
-`)
+`))
 	if r.ByClass[stats.LoadStall] < 140 || r.ByClass[stats.LoadStall] > 146 {
 		t.Errorf("cold-miss stall = %d cycles, want ≈144", r.ByClass[stats.LoadStall])
 	}
@@ -162,15 +159,15 @@ func TestIndependentMissesOverlap(t *testing.T) {
 	// Two independent cold misses issued in one group overlap; the same
 	// two misses serialized by a data dependence do not. (Both runs pay
 	// identical cold I-cache costs, so the difference isolates overlap.)
-	overlap := runBoth(t, `
+	overlap := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0x40000
         movi r2 = 0x50000 ;;
         ld4 r3 = [r1]
         ld4 r4 = [r2] ;;
         add r5 = r3, r4 ;;
         halt ;;
-`)
-	serial := runBoth(t, `
+`))
+	serial := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0x40000
         movi r2 = 0x50000 ;;
         ld4 r3 = [r1] ;;
@@ -179,7 +176,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
         ld4 r4 = [r7] ;;         // address depends on first load
         add r5 = r3, r4 ;;
         halt ;;
-`)
+`))
 	if overlap.Cycles > serial.Cycles-100 {
 		t.Errorf("independent misses did not overlap: %d vs serialized %d cycles",
 			overlap.Cycles, serial.Cycles)
@@ -189,14 +186,14 @@ func TestIndependentMissesOverlap(t *testing.T) {
 func TestGroupGranularityStall(t *testing.T) {
 	// The "artificial dependence": an independent instruction grouped
 	// after the consumer of a missing load is stalled with it.
-	dep := runBoth(t, `
+	dep := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0x40000
         movi r6 = 1 ;;
         ld4 r2 = [r1] ;;
         add r3 = r2, r2
         add r7 = r6, r6 ;;    // independent but grouped with the consumer
         halt ;;
-`)
+`))
 	// Same code but the independent add is hoisted before the consumer's
 	// group; it still cannot proceed because in-order dispatch is blocked
 	// by the earlier group — this documents the baseline's behaviour.
@@ -209,13 +206,13 @@ func TestWAWInterlock(t *testing.T) {
 	// A long-latency fdiv writing f2 followed by a short op writing f2:
 	// the second write must wait (EPIC WAW scoreboard), so a consumer of
 	// f2 afterwards sees a long stall even though its producer is 4-cycle.
-	r := runBoth(t, `
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         fadd f2 = f1, f1 ;;
         fdiv f3 = f2, f1 ;;
         fadd f3 = f1, f1 ;;      // WAW on f3 with the fdiv
         fadd f4 = f3, f1 ;;
         halt ;;
-`)
+`))
 	if r.ByClass[stats.NonLoadDepStall] < 18 {
 		t.Errorf("WAW interlock missing: non-load stalls = %d", r.ByClass[stats.NonLoadDepStall])
 	}
@@ -224,7 +221,7 @@ func TestWAWInterlock(t *testing.T) {
 func TestMispredictPenalty(t *testing.T) {
 	// A data-dependent, alternating branch mispredicts while warming up;
 	// compare cycle cost against an always-taken loop of the same length.
-	alternating := runBoth(t, `
+	alternating := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0
         movi r2 = 200 ;;
 loop:   andi r3 = r1, 1 ;;
@@ -236,7 +233,7 @@ even:   addi r1 = r1, 1 ;;
 join:   cmp.lt p2 = r1, r2 ;;
         (p2) br loop ;;
         halt ;;
-`)
+`))
 	if alternating.MispredictsA == 0 {
 		t.Errorf("alternating branch never mispredicted")
 	}
@@ -269,14 +266,14 @@ outer:  cmpi.ne p2 = r30, 0 ;;
         (p3) br outer ;;
         halt ;;
 `)
-	r := runBoth(t, b.String())
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), b.String()))
 	if r.ByClass[stats.ResourceStall] == 0 {
 		t.Errorf("MSHR exhaustion produced no resource stalls: %+v", r.ByClass)
 	}
 }
 
 func TestCycleClassesSumToTotal(t *testing.T) {
-	r := runBoth(t, `
+	r := runVerified(t, DefaultConfig(), program.MustAssemble(t.Name(), `
         movi r1 = 0x9000
         movi r2 = 50 ;;
 loop:   ld4 r3 = [r1] ;;
@@ -285,7 +282,7 @@ loop:   ld4 r3 = [r1] ;;
         cmpi.ne p1 = r2, 0 ;;
         (p1) br loop ;;
         halt ;;
-`)
+`))
 	var sum int64
 	for _, c := range r.ByClass {
 		sum += c
@@ -328,21 +325,18 @@ func TestRejectsMalformedProgram(t *testing.T) {
 func TestIndirectBranchFuzz(t *testing.T) {
 	rcfg := workload.DefaultRandomConfig()
 	rcfg.IndirectBranches = true
-	for seed := int64(120); seed < 125; seed++ {
-		p := workload.Random(seed, rcfg)
-		ref, err := arch.Run(p, 10_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := New(DefaultConfig(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if !m.State().Equal(ref.State) {
-			t.Fatalf("seed %d: %s", seed, m.State().Diff(ref.State))
-		}
+	for _, tc := range []struct {
+		name          string
+		cfg           Config
+		first, before int64
+	}{
+		{"base", DefaultConfig(), 120, 125},
+		{"runahead", runaheadConfig(), 130, 134},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := tc.first; seed < tc.before; seed++ {
+				runVerified(t, tc.cfg, workload.Random(seed, rcfg))
+			}
+		})
 	}
 }

@@ -14,8 +14,11 @@ import (
 // fetched group has dispatched, the quiesced state is captured, and fetch
 // restarts at the architectural PC — so the producing run and a run resumed
 // from the snapshot see identical futures.
-
-const scoreboardSection = "baseline.scoreboard"
+//
+// In run-ahead mode, entry is suppressed while draining, so no episode is
+// in flight at a barrier: the run-ahead register copy, poison bits and exit
+// state are dead, and the scoreboard section only gains the two episode
+// totals.
 
 // ConfigureSnapshots implements core.Snapshotter: capture a KindMachine
 // snapshot at the first drain barrier after every `every` retired
@@ -43,10 +46,10 @@ func (m *Machine) snapshotDue() bool {
 // RestoreSnapshot implements core.Snapshotter. A KindFunctional snapshot
 // fast-forwards the architectural state (registers, memory, PC, retired
 // count) and leaves timing structures cold; a KindMachine snapshot must come
-// from a baseline machine and reinstates everything.
+// from a machine in the same mode and reinstates everything.
 func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if snap.Program != "" && snap.Program != m.prog.Name {
-		return fmt.Errorf("baseline: snapshot is for program %q, machine runs %q", snap.Program, m.prog.Name)
+		return fmt.Errorf("%s: snapshot is for program %q, machine runs %q", m.names.errPrefix, snap.Program, m.prog.Name)
 	}
 	m.st.Regs = snap.Regs
 	m.st.Mem = snap.Mem.Image()
@@ -62,8 +65,8 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 		m.fe.Redirect(snap.PC, -1)
 		return nil
 	case checkpoint.KindMachine:
-		if snap.Model != modelTag {
-			return fmt.Errorf("baseline: snapshot is from model %q", snap.Model)
+		if snap.Model != m.names.tag {
+			return fmt.Errorf("%s: snapshot is from model %q", m.names.errPrefix, snap.Model)
 		}
 		m.now = snap.Cycle
 		if err := m.hier.RestoreState(snap.Hier); err != nil {
@@ -75,18 +78,24 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 		m.fe.RestoreStream(snap.FeNextID, snap.FeFetchStalls)
 		//flea:handoff Redirect returns every in-flight group's records to the arena before refetching
 		m.fe.Redirect(snap.PC, snap.Cycle)
-		b, ok := snap.Section(scoreboardSection)
+		b, ok := snap.Section(m.names.section)
 		if !ok {
-			return fmt.Errorf("baseline: snapshot has no %s section", scoreboardSection)
+			return fmt.Errorf("%s: snapshot has no %s section", m.names.errPrefix, m.names.section)
 		}
 		d := checkpoint.NewDecoder(b)
 		for r := range m.ready {
 			m.ready[r] = d.I64()
 			m.loadProducer[r] = d.Bool()
 		}
+		if m.cfg.Runahead {
+			// The episode totals live in machine fields between registry
+			// syncs; restoring them keeps the end-of-run sync additive.
+			m.RunaheadEntries = d.I64()
+			m.RunaheadInsts = d.I64()
+		}
 		return d.Err()
 	}
-	return fmt.Errorf("baseline: unknown snapshot kind %d", snap.Kind)
+	return fmt.Errorf("%s: unknown snapshot kind %d", m.names.errPrefix, snap.Kind)
 }
 
 // primeCounters seeds the metrics registry with the snapshot's counter values
@@ -106,9 +115,11 @@ func (m *Machine) primeCounters() {
 // takeSnapshot captures the quiesced machine at a drain barrier (fetch queue
 // empty, every dispatched instruction retired).
 func (m *Machine) takeSnapshot() {
+	// Bring the episode counters current so the captured set is coherent.
+	m.syncRunaheadCounters()
 	s := &checkpoint.Snapshot{
 		Kind:    checkpoint.KindMachine,
-		Model:   modelTag,
+		Model:   m.names.tag,
 		Program: m.prog.Name,
 		Cycle:   m.now,
 		Retired: m.retired,
@@ -124,12 +135,16 @@ func (m *Machine) takeSnapshot() {
 		cs = append(cs, checkpoint.Counter{Name: name, Value: value})
 	})
 	s.SetCounters(cs)
-	e := checkpoint.NewEncoder(isa.NumRegs * 9)
+	e := checkpoint.NewEncoder(isa.NumRegs*9 + 16)
 	for r := range m.ready {
 		e.I64(m.ready[r])
 		e.Bool(m.loadProducer[r])
 	}
-	s.AddSection(scoreboardSection, e.Bytes())
+	if m.cfg.Runahead {
+		e.I64(m.RunaheadEntries)
+		e.I64(m.RunaheadInsts)
+	}
+	s.AddSection(m.names.section, e.Bytes())
 	for m.nextSnap <= m.retired {
 		m.nextSnap += m.snapEvery
 	}

@@ -18,7 +18,6 @@ import (
 	"fleaflicker/internal/metrics"
 	"fleaflicker/internal/pipeline"
 	"fleaflicker/internal/program"
-	"fleaflicker/internal/runahead"
 	"fleaflicker/internal/stats"
 	"fleaflicker/internal/trace"
 	"fleaflicker/internal/twopass"
@@ -111,12 +110,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// BaselineConfig converts to the baseline machine's configuration.
-func (c Config) BaselineConfig() baseline.Config {
+// BaselineConfig converts to the in-order machine's configuration, with
+// run-ahead mode on or off.
+func (c Config) BaselineConfig(runahead bool) baseline.Config {
 	return baseline.Config{
 		Front: c.Front, Mem: c.Mem, Bpred: c.Bpred,
-		IssueWidth: c.IssueWidth, FUs: c.FUs, MaxCycles: c.MaxCycles,
-		Arena: c.Arena,
+		IssueWidth: c.IssueWidth, FUs: c.FUs,
+		Runahead: runahead, ExitPenalty: c.RunaheadExitPenalty, MinStallCycles: c.RunaheadMinStall,
+		MaxCycles: c.MaxCycles,
+		Arena:     c.Arena,
 	}
 }
 
@@ -135,17 +137,6 @@ func (c Config) TwoPassConfig(regroup bool) twopass.Config {
 	}
 }
 
-// RunaheadConfig converts to the run-ahead machine's configuration.
-func (c Config) RunaheadConfig() runahead.Config {
-	return runahead.Config{
-		Front: c.Front, Mem: c.Mem, Bpred: c.Bpred,
-		IssueWidth: c.IssueWidth, FUs: c.FUs,
-		ExitPenalty: c.RunaheadExitPenalty, MinStallCycles: c.RunaheadMinStall,
-		MaxCycles: c.MaxCycles,
-		Arena:     c.Arena,
-	}
-}
-
 // machine is what every model implementation provides.
 type machine interface {
 	Run() (*stats.Run, error)
@@ -156,29 +147,13 @@ type machine interface {
 func build(model Model, cfg Config, prog *program.Program) (machine, error) {
 	switch model {
 	case Baseline:
-		return baseline.New(cfg.BaselineConfig(), prog)
+		return baseline.New(cfg.BaselineConfig(false), prog)
 	case TwoPass:
 		return twopass.New(cfg.TwoPassConfig(false), prog)
 	case TwoPassRegroup:
 		return twopass.New(cfg.TwoPassConfig(true), prog)
 	case Runahead:
-		return runahead.New(cfg.RunaheadConfig(), prog)
+		return baseline.New(cfg.BaselineConfig(true), prog)
 	}
 	return nil, fmt.Errorf("core: unknown model %d", model)
-}
-
-// Run simulates prog to completion on the selected machine model.
-//
-// Deprecated: use Simulate(ctx, model, prog, WithConfig(cfg)).
-func Run(model Model, cfg Config, prog *program.Program) (*stats.Run, error) {
-	return Simulate(context.Background(), model, prog, WithConfig(cfg))
-}
-
-// RunVerified simulates prog and additionally checks that the machine's
-// final architectural state matches the functional reference executor —
-// the repository's golden correctness invariant.
-//
-// Deprecated: use Simulate(ctx, model, prog, WithConfig(cfg), WithVerify()).
-func RunVerified(model Model, cfg Config, prog *program.Program) (*stats.Run, error) {
-	return Simulate(context.Background(), model, prog, WithConfig(cfg), WithVerify())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 func TestRunAllModels(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
 	for _, m := range Models() {
-		r, err := Run(m, DefaultConfig(), p)
+		r, err := Simulate(context.Background(), m, p, WithConfig(DefaultConfig()))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -64,7 +65,7 @@ func TestRunAllModels(t *testing.T) {
 func TestRunVerifiedCatchesNothingOnCorrectMachines(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
 	for _, m := range Models() {
-		if _, err := RunVerified(m, DefaultConfig(), p); err != nil {
+		if _, err := Simulate(context.Background(), m, p, WithConfig(DefaultConfig()), WithVerify()); err != nil {
 			t.Errorf("%v: %v", m, err)
 		}
 	}
@@ -72,7 +73,7 @@ func TestRunVerifiedCatchesNothingOnCorrectMachines(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	p := program.MustAssemble("tiny", tiny)
-	if _, err := Run(Model(99), DefaultConfig(), p); err == nil || !strings.Contains(err.Error(), "unknown model") {
+	if _, err := Simulate(context.Background(), Model(99), p, WithConfig(DefaultConfig())); err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Errorf("unknown model should error, got %v", err)
 	}
 }
@@ -88,13 +89,13 @@ func TestConfigConversions(t *testing.T) {
 		tp.DeferThrottle != 5 || !tp.StallOnAnticipable {
 		t.Errorf("TwoPassConfig lost fields: %+v", tp)
 	}
-	bl := c.BaselineConfig()
-	if bl.IssueWidth != 8 || bl.Mem.MemLatency != 145 {
-		t.Errorf("BaselineConfig lost fields")
+	bl := c.BaselineConfig(false)
+	if bl.IssueWidth != 8 || bl.Mem.MemLatency != 145 || bl.Runahead {
+		t.Errorf("BaselineConfig(false) lost fields: %+v", bl)
 	}
 	c.RunaheadExitPenalty = 3
-	ra := c.RunaheadConfig()
-	if ra.ExitPenalty != 3 || ra.MinStallCycles != c.RunaheadMinStall {
-		t.Errorf("RunaheadConfig lost fields")
+	ra := c.BaselineConfig(true)
+	if !ra.Runahead || ra.ExitPenalty != 3 || ra.MinStallCycles != c.RunaheadMinStall {
+		t.Errorf("BaselineConfig(true) lost fields: %+v", ra)
 	}
 }

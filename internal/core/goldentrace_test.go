@@ -19,9 +19,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 // TestGoldenJSONLTrace pins the exact event stream of a tiny deterministic
-// kernel on the two-pass machine. The simulators are deterministic, so any
-// diff means either an intentional machine/trace change (rerun with
-// -update) or a regression in event emission.
+// kernel on the two-pass, baseline and run-ahead machines. The simulators
+// are deterministic, so any diff means either an intentional machine/trace
+// change (rerun with -update) or a regression in event emission.
 func TestGoldenJSONLTrace(t *testing.T) {
 	p := program.MustAssemble("goldentrace", `
         movi r1 = 0x40000 ;;
@@ -34,51 +34,68 @@ skip:   add r4 = r3, r3 ;;
         st4 [r1, 8] = r4 ;;
         halt ;;
 `)
-	var buf bytes.Buffer
-	if _, err := Simulate(context.Background(), TwoPass, p,
-		WithVerify(), WithTrace(trace.NewJSONLSink(&buf))); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		model Model
+		file  string
+	}{
+		{TwoPass, "golden_trace.jsonl"},
+		{Baseline, "golden_trace_base.jsonl"},
+		{Runahead, "golden_trace_runahead.jsonl"},
+	} {
+		t.Run(tc.model.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := Simulate(context.Background(), tc.model, p,
+				WithVerify(), WithTrace(trace.NewJSONLSink(&buf))); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Join("testdata", tc.file), buf.Bytes())
+		})
 	}
+}
 
-	golden := filepath.Join("testdata", "golden_trace.jsonl")
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", golden, buf.Len())
+		t.Logf("rewrote %s (%d bytes)", golden, len(got))
 		return
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		gotLines := bytes.Split(buf.Bytes(), []byte("\n"))
-		wantLines := bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-			var g, w []byte
-			if i < len(gotLines) {
-				g = gotLines[i]
-			}
-			if i < len(wantLines) {
-				w = wantLines[i]
-			}
-			if !bytes.Equal(g, w) {
-				t.Fatalf("trace diverges at line %d:\n got: %s\nwant: %s\n(%d vs %d lines; run with -update if intentional)",
-					i+1, g, w, len(gotLines), len(wantLines))
-			}
-		}
-		t.Fatalf("trace differs (got %d bytes, want %d)", buf.Len(), len(want))
+	if bytes.Equal(got, want) {
+		return
 	}
+	gotLines := bytes.Split(got, []byte("\n"))
+	wantLines := bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w []byte
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s: trace diverges at line %d:\n got: %s\nwant: %s\n(%d vs %d lines; run with -update if intentional)",
+				golden, i+1, g, w, len(gotLines), len(wantLines))
+		}
+	}
+	t.Fatalf("%s: trace differs (got %d bytes, want %d)", golden, len(got), len(want))
 }
 
 // TestMetricsDeriveStatsOnSuite runs a real suite benchmark on every model
-// twice — once through the legacy entry point, once with an external
-// registry — and checks that the registry's counters agree with the legacy
-// Run aggregates field by field. This is the "aggregates and traces can
+// twice — once with the machine's private registry, once with an external
+// one — and checks that the external registry's counters agree with the
+// private run's aggregates field by field. This is the "aggregates and traces can
 // never disagree" guarantee: both views come from the same counters.
 func TestMetricsDeriveStatsOnSuite(t *testing.T) {
 	b, err := workload.ByName("300.twolf")
@@ -86,7 +103,7 @@ func TestMetricsDeriveStatsOnSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, model := range Models() {
-		legacy, err := Run(model, DefaultConfig(), b.Program())
+		plain, err := Simulate(context.Background(), model, b.Program(), WithConfig(DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,34 +112,34 @@ func TestMetricsDeriveStatsOnSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Cycles != legacy.Cycles || r.Instructions != legacy.Instructions {
-			t.Errorf("%v: run with metrics differs from legacy: %d/%d vs %d/%d cycles/insts",
-				model, r.Cycles, r.Instructions, legacy.Cycles, legacy.Instructions)
+		if r.Cycles != plain.Cycles || r.Instructions != plain.Instructions {
+			t.Errorf("%v: run with metrics differs from plain run: %d/%d vs %d/%d cycles/insts",
+				model, r.Cycles, r.Instructions, plain.Cycles, plain.Instructions)
 		}
 		check := func(name string, want int64) {
 			t.Helper()
 			if v, _ := reg.CounterValue(name); v != want {
-				t.Errorf("%v: registry %s = %d, legacy Run = %d", model, name, v, want)
+				t.Errorf("%v: registry %s = %d, plain run = %d", model, name, v, want)
 			}
 		}
-		check(stats.MetricCycles, legacy.Cycles)
-		check(stats.MetricInstructions, legacy.Instructions)
+		check(stats.MetricCycles, plain.Cycles)
+		check(stats.MetricInstructions, plain.Instructions)
 		for c := stats.CycleClass(0); c < stats.NumCycleClasses; c++ {
-			check(stats.ClassMetricName(c), legacy.ByClass[c])
+			check(stats.ClassMetricName(c), plain.ByClass[c])
 		}
-		check(stats.MetricMispredictsA, legacy.MispredictsA)
-		check(stats.MetricMispredictsB, legacy.MispredictsB)
-		check(stats.MetricConflictFlushes, legacy.ConflictFlushes)
-		check(stats.MetricStoresTotal, legacy.StoresTotal)
-		check(stats.MetricStoresDeferred, legacy.StoresDeferred)
-		check(stats.MetricDeferred, legacy.Deferred)
-		check(stats.MetricPreExecuted, legacy.PreExecuted)
-		check(stats.MetricRegrouped, legacy.Regrouped)
-		check(stats.MetricCQOccupancySum, legacy.CQOccupancySum)
+		check(stats.MetricMispredictsA, plain.MispredictsA)
+		check(stats.MetricMispredictsB, plain.MispredictsB)
+		check(stats.MetricConflictFlushes, plain.ConflictFlushes)
+		check(stats.MetricStoresTotal, plain.StoresTotal)
+		check(stats.MetricStoresDeferred, plain.StoresDeferred)
+		check(stats.MetricDeferred, plain.Deferred)
+		check(stats.MetricPreExecuted, plain.PreExecuted)
+		check(stats.MetricRegrouped, plain.Regrouped)
+		check(stats.MetricCQOccupancySum, plain.CQOccupancySum)
 		for lvl := mem.Level(0); lvl < mem.NumLevels; lvl++ {
 			for p := stats.Pipe(0); p < stats.NumPipes; p++ {
-				check(stats.AccessMetricName(lvl, p, false), legacy.Access[lvl][p])
-				check(stats.AccessMetricName(lvl, p, true), legacy.AccessCycles[lvl][p])
+				check(stats.AccessMetricName(lvl, p, false), plain.Access[lvl][p])
+				check(stats.AccessMetricName(lvl, p, true), plain.AccessCycles[lvl][p])
 			}
 		}
 	}

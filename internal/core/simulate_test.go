@@ -29,13 +29,13 @@ loop:   ld4 r2 = [r1] ;;
 `)
 }
 
-// Simulate with no options must agree exactly with the legacy Run entry
-// point (which is now a wrapper over it, but the equality also pins that
-// attaching a background context costs no cycles).
+// Simulate with no options must agree exactly with an explicit
+// WithConfig(DefaultConfig()) run: the default configuration is the
+// Table 1 machine.
 func TestSimulateMatchesRun(t *testing.T) {
 	p := simProg(t)
 	for _, model := range Models() {
-		want, err := Run(model, DefaultConfig(), p)
+		want, err := Simulate(context.Background(), model, p, WithConfig(DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestSimulateMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
-			t.Errorf("%v: Simulate %d cycles/%d insts, Run %d/%d",
+			t.Errorf("%v: Simulate %d cycles/%d insts, WithConfig(DefaultConfig()) %d/%d",
 				model, got.Cycles, got.Instructions, want.Cycles, want.Instructions)
 		}
 	}

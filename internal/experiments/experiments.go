@@ -322,7 +322,7 @@ func Fig8(cfg core.Config, names []string) ([]Fig8Point, error) {
 		for _, lat := range Fig8Latencies {
 			c := cfg
 			c.FeedbackLatency = lat
-			r, err := core.Run(core.TwoPass, c, b.Program())
+			r, err := core.Simulate(context.TODO(), core.TwoPass, b.Program(), core.WithConfig(c))
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s lat %d: %w", name, lat, err)
 			}
@@ -503,7 +503,7 @@ func CQSweep(cfg core.Config, name string, sizes []int) ([]SweepPoint, error) {
 	for _, size := range sizes {
 		c := cfg
 		c.CQSize = size
-		r, err := core.Run(core.TwoPass, c, b.Program())
+		r, err := core.Simulate(context.TODO(), core.TwoPass, b.Program(), core.WithConfig(c))
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +523,7 @@ func ALATSweep(cfg core.Config, name string, capacities []int) ([]SweepPoint, er
 	for _, capa := range capacities {
 		c := cfg
 		c.ALATCapacity = capa
-		r, err := core.Run(core.TwoPass, c, b.Program())
+		r, err := core.Simulate(context.TODO(), core.TwoPass, b.Program(), core.WithConfig(c))
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +542,7 @@ func ThrottleSweep(cfg core.Config, name string, limits []int) ([]SweepPoint, er
 	for _, lim := range limits {
 		c := cfg
 		c.DeferThrottle = lim
-		r, err := core.Run(core.TwoPass, c, b.Program())
+		r, err := core.Simulate(context.TODO(), core.TwoPass, b.Program(), core.WithConfig(c))
 		if err != nil {
 			return nil, err
 		}

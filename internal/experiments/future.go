@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -52,11 +53,11 @@ func CompareMachines(ref, alt core.Config, benches []*workload.Benchmark) ([]Mac
 	var out []MachineComparison
 	for _, b := range benches {
 		ratio := func(cfg core.Config) (float64, error) {
-			base, err := core.Run(core.Baseline, cfg, b.Program())
+			base, err := core.Simulate(context.TODO(), core.Baseline, b.Program(), core.WithConfig(cfg))
 			if err != nil {
 				return 0, err
 			}
-			tp, err := core.Run(core.TwoPass, cfg, b.Program())
+			tp, err := core.Simulate(context.TODO(), core.TwoPass, b.Program(), core.WithConfig(cfg))
 			if err != nil {
 				return 0, err
 			}
@@ -110,7 +111,7 @@ func IfConvertStudy(cfg core.Config, names []string) ([]IfConvertRow, error) {
 			return nil, err
 		}
 		prog := b.Program()
-		plain, err := core.Run(core.TwoPass, cfg, prog)
+		plain, err := core.Simulate(context.TODO(), core.TwoPass, prog, core.WithConfig(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +123,7 @@ func IfConvertStudy(cfg core.Config, names []string) ([]IfConvertRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		conv, err := core.RunVerified(core.TwoPass, cfg, convProg)
+		conv, err := core.Simulate(context.TODO(), core.TwoPass, convProg, core.WithConfig(cfg), core.WithVerify())
 		if err != nil {
 			return nil, err
 		}
