@@ -83,11 +83,10 @@ type Machine struct {
 	ready        [isa.NumRegs]int64
 	loadProducer [isa.NumRegs]bool
 
-	// arena recycles DynInst records; srcScratch and addrScratch are
-	// reusable groupBlocked buffers. Together they keep the cycle loop
+	// arena recycles DynInst records and addrScratch is groupBlocked's
+	// reusable load-address buffer. Together they keep the cycle loop
 	// allocation-free.
 	arena       *pipeline.Arena
-	srcScratch  []isa.Reg
 	addrScratch []uint32
 
 	// Run-ahead episode state (see runahead.go).
@@ -194,13 +193,18 @@ func (m *Machine) Run() (*stats.Run, error) {
 		} else {
 			m.fe.Tick(m.now)
 		}
+		var cls stats.CycleClass
+		var wake int64
 		if m.inRunahead {
 			m.stepRunahead()
 		} else {
-			m.step()
+			cls, wake = m.step()
 		}
 		if m.snapshotDue() {
 			m.draining = true
+		}
+		if wake > m.now+1 && !m.tr.Enabled() {
+			m.skipStalled(cls, wake)
 		}
 		m.now++
 	}
@@ -213,10 +217,13 @@ func (m *Machine) Run() (*stats.Run, error) {
 }
 
 // step attempts to dispatch the head issue group and classifies the cycle.
-// In run-ahead mode a long load-dependent stall enters an episode.
+// In run-ahead mode a long load-dependent stall enters an episode. A stalled
+// cycle reports its class and the first cycle at which the stall can end
+// (pipeline.Never when only fetch can end it); any other cycle reports a
+// zero wake.
 //
 //flea:hotpath
-func (m *Machine) step() {
+func (m *Machine) step() (cls stats.CycleClass, wake int64) {
 	g := m.fe.Head(m.now)
 	if g == nil {
 		m.col.Cycle(stats.FrontEndStall)
@@ -224,7 +231,7 @@ func (m *Machine) step() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeFront,
 				PC: -1, Arg: int64(stats.FrontEndStall), Note: stats.FrontEndStall.String()})
 		}
-		return
+		return stats.FrontEndStall, m.fe.HeadAvailAt()
 	}
 	if cls, until, blocked := m.groupBlocked(g); blocked {
 		m.col.Cycle(cls)
@@ -237,14 +244,33 @@ func (m *Machine) step() {
 		// flight past the quiesce point.
 		if m.cfg.Runahead && cls == stats.LoadStall && until-m.now > int64(m.cfg.MinStallCycles) && !m.draining {
 			m.enterRunahead(g, until)
+			return 0, 0
 		}
-		return
+		return cls, until
 	}
 	m.fe.Pop() // before dispatch: a mispredicted branch flushes the queue
 	m.dispatch(g)
 	m.arena.PutAll(g.Insts) // the group retires (or squashes) whole
 	g.Insts = g.Insts[:0]
 	m.col.Cycle(stats.Unstalled)
+	return 0, 0
+}
+
+// skipStalled charges the cycles now+1 … wake-1 of a stall to cls in bulk
+// and advances now to wake-1. Until wake the head group can neither
+// dispatch nor change class: its blocking register's ready time does not
+// move, and nothing enters the fetch queue before the front end's next
+// fetch, which bounds the skip together with the next cancellation check and
+// MaxCycles. A run-ahead episode fetches every cycle and is never skipped;
+// nor is a cycle that starts one, or a resource stall (wake now+1).
+//
+//flea:hotpath
+func (m *Machine) skipStalled(cls stats.CycleClass, wake int64) {
+	wake = min(wake, m.fe.NextFetch(m.now), (m.now|4095)+1, m.cfg.MaxCycles)
+	if n := wake - m.now - 1; n > 0 {
+		m.col.Cycles(cls, n)
+		m.now += n
+	}
 }
 
 // groupBlocked applies the REG-stage interlocks: every source of every
@@ -267,17 +293,13 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, wake in
 			blockedByLoad = m.loadProducer[r]
 		}
 	}
-	srcs := m.srcScratch
 	for _, d := range g.Insts {
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
-			consider(s)
-		}
-		if d.In.HasDest() {
-			consider(d.In.Dst)
-		}
+		in := d.In
+		consider(in.Pred)
+		consider(in.Src1)
+		consider(in.Src2)
+		consider(in.Dst)
 	}
-	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
 			return stats.LoadStall, blockedUntil, true

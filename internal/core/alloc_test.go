@@ -103,10 +103,33 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	type variant struct {
+		name  string
+		model Model
+		set   func(*Config)
+	}
+	var variants []variant
 	for _, model := range Models() {
-		t.Run(model.String(), func(t *testing.T) {
-			m, err := build(model, cfg, bench.Program())
+		variants = append(variants, variant{model.String(), model, func(*Config) {}})
+	}
+	// Each two-pass mechanism knob reaches code the default run skips.
+	for _, v := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"anticipable", func(c *Config) { c.StallOnAnticipable = true }},
+		{"throttle16", func(c *Config) { c.DeferThrottle = 16 }},
+		{"checkpointrepair", func(c *Config) { c.CheckpointRepair = true }},
+		{"conflictpredictor", func(c *Config) { c.ConflictPredictor = true }},
+		{"sb8-alat16-nofeedback", func(c *Config) { c.SBSize, c.ALATCapacity, c.FeedbackLatency = 8, 16, -1 }},
+	} {
+		variants = append(variants, variant{TwoPass.String() + "/" + v.name, TwoPass, v.set})
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			v.set(&cfg)
+			m, err := build(v.model, cfg, bench.Program())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,10 +143,10 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 			allocs := after.Mallocs - before.Mallocs
 			perInstr := float64(allocs) / float64(r.Instructions)
 			t.Logf("%s: %d allocs / %d instructions = %.5f allocs/instr",
-				model, allocs, r.Instructions, perInstr)
+				v.name, allocs, r.Instructions, perInstr)
 			if perInstr >= 0.01 {
 				t.Errorf("%s: %.5f allocs per instruction (%d allocs over %d instructions); steady-state cycle loop must not allocate",
-					model, perInstr, allocs, r.Instructions)
+					v.name, perInstr, allocs, r.Instructions)
 			}
 		})
 	}

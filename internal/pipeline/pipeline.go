@@ -5,6 +5,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"fleaflicker/internal/bpred"
 	"fleaflicker/internal/isa"
 	"fleaflicker/internal/mem"
@@ -21,6 +23,10 @@ const (
 	// WRBOffset is when results are architecturally written.
 	WRBOffset = 3
 )
+
+// Never is the wake cycle of a wait that no amount of elapsed time ends by
+// itself: only another component's action (a pop, a redirect) can.
+const Never int64 = math.MaxInt64
 
 // DynInst is one dynamic (fetched) instruction. The front end fills in the
 // identity and prediction fields; machine models use the execution fields
@@ -258,6 +264,31 @@ func (f *FrontEnd) Head(now int64) *Group {
 		return nil
 	}
 	return g
+}
+
+// NextFetch returns the first cycle after now at which Tick can fetch a
+// group, or Never while the queue is full, fetch is stalled behind an
+// indirect branch, or fetch has halted: those waits end only through the
+// machine's Pop or Redirect. Machines that skip stalled cycles never skip
+// past it.
+//
+//flea:hotpath
+func (f *FrontEnd) NextFetch(now int64) int64 {
+	if f.stalled || f.halted || f.qlen >= f.cfg.QueueCap {
+		return Never
+	}
+	return max(f.nextFetchAt, now+1)
+}
+
+// HeadAvailAt returns the oldest fetched group's AvailAt, or Never when the
+// queue is empty.
+//
+//flea:hotpath
+func (f *FrontEnd) HeadAvailAt() int64 {
+	if f.qlen == 0 {
+		return Never
+	}
+	return f.queue[f.qhead].AvailAt
 }
 
 // Pending reports whether any group is fetched but not yet available —

@@ -361,3 +361,48 @@ func TestHeadNotAvailableBeforeAvailAt(t *testing.T) {
 		t.Errorf("group visible before its AvailAt")
 	}
 }
+
+// NextFetch and HeadAvailAt are what the machines' stall skip trusts: Tick
+// must fetch at now exactly when NextFetch(now-1) == now, and Head must
+// return a group exactly when HeadAvailAt() <= now. A loop that is popped
+// only now and then fills the queue (NextFetch is Never); a straight line
+// popped eagerly halts fetch for good and drains the queue (HeadAvailAt is
+// Never).
+func TestNextFetchAndHeadAvailAtPredictFrontEnd(t *testing.T) {
+	check := func(fe *FrontEnd, popEvery int64) {
+		t.Helper()
+		for now := int64(0); now < 3000; now++ {
+			predicted := fe.NextFetch(now-1) == now
+			before := fe.qlen
+			fe.Tick(now)
+			if fetched := fe.qlen > before; fetched != predicted {
+				t.Fatalf("cycle %d: fetched=%v, NextFetch(%d)=%d", now, fetched, now-1, fe.NextFetch(now-1))
+			}
+			if got, want := fe.Head(now) != nil, fe.HeadAvailAt() <= now; got != want {
+				t.Fatalf("cycle %d: Head available=%v, HeadAvailAt()=%d", now, got, fe.HeadAvailAt())
+			}
+			if fe.Head(now) != nil && now%popEvery == 0 {
+				fe.Pop()
+			}
+		}
+	}
+	loop := newFE(t, `
+a:      movi r1 = 1 ;;
+        br a ;;
+`)
+	check(loop, 13)
+	if loop.Halted() || loop.NextFetch(3000) != Never {
+		t.Errorf("a rarely popped loop should fill the queue: NextFetch=%d", loop.NextFetch(3000))
+	}
+	line := newFE(t, `
+        movi r1 = 1 ;;
+        movi r2 = 2 ;;
+        movi r3 = 3 ;;
+        halt ;;
+`)
+	check(line, 1)
+	if !line.Halted() || line.NextFetch(3000) != Never || line.HeadAvailAt() != Never {
+		t.Errorf("fetch should halt and the queue drain: halted=%v NextFetch=%d HeadAvailAt=%d",
+			line.Halted(), line.NextFetch(3000), line.HeadAvailAt())
+	}
+}

@@ -140,6 +140,16 @@ func (c *Collector) Cycle(cls CycleClass) {
 	c.byClass[cls].Inc()
 }
 
+// Cycles classifies n consecutive cycles of one class at once: the bulk form
+// of Cycle that a machine uses when it skips a stretch of identical stalled
+// cycles. The invariant holds by the same construction.
+//
+//flea:hotpath
+func (c *Collector) Cycles(cls CycleClass, n int64) {
+	c.cycles.Add(n)
+	c.byClass[cls].Add(n)
+}
+
 // Instruction counts one architecturally retired instruction.
 //
 //flea:hotpath
@@ -205,6 +215,15 @@ func (c *Collector) Regroup(n int) { c.regrouped.Add(int64(n)) }
 //flea:hotpath
 func (c *Collector) CQOccupancy(n int) {
 	c.cqOccupancySum.Add(int64(n))
+	c.cqOccupancy.Set(int64(n))
+}
+
+// CQOccupancyCycles accumulates an unchanged coupling-queue occupancy n over
+// cycles consecutive cycles: the bulk form of CQOccupancy.
+//
+//flea:hotpath
+func (c *Collector) CQOccupancyCycles(n int, cycles int64) {
+	c.cqOccupancySum.Add(int64(n) * cycles)
 	c.cqOccupancy.Set(int64(n))
 }
 

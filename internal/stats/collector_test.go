@@ -89,3 +89,24 @@ func TestCollectorExtraCounter(t *testing.T) {
 		t.Error("Registry() should expose the backing registry")
 	}
 }
+
+// The bulk forms must equal the same number of single-cycle calls.
+func TestCollectorBulkCyclesMatchPerCycle(t *testing.T) {
+	bulk := NewCollector(metrics.NewRegistry(), "b", "2P")
+	single := NewCollector(metrics.NewRegistry(), "b", "2P")
+	bulk.Cycle(LoadStall)
+	bulk.Cycles(LoadStall, 6)
+	bulk.CQOccupancyCycles(9, 7)
+	for i := 0; i < 7; i++ {
+		single.Cycle(LoadStall)
+		single.CQOccupancy(9)
+	}
+	b, s := bulk.Snapshot(mem.Stats{}), single.Snapshot(mem.Stats{})
+	if b.Cycles != 7 || b.ByClass != s.ByClass || b.CQOccupancySum != s.CQOccupancySum {
+		t.Errorf("bulk %d cycles %v occupancy %d; per-cycle %d cycles %v occupancy %d",
+			b.Cycles, b.ByClass, b.CQOccupancySum, s.Cycles, s.ByClass, s.CQOccupancySum)
+	}
+	if g := bulk.Registry().Gauge(GaugeCQOccupancy).Value(); g != 9 {
+		t.Errorf("occupancy gauge = %d, want 9", g)
+	}
+}

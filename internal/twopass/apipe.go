@@ -14,24 +14,30 @@ import (
 // structural reasons: a full coupling queue, the optional deferral throttle,
 // or the optional anticipable-latency stall.
 //
+// When it stays idle it reports the first cycle at which it could act by
+// itself: the head group's AvailAt while it waits on the front end, or
+// pipeline.Never while only the B-pipe can release it (halted, coupling-queue
+// backpressure, throttle). A cycle that dispatches, or an anticipable stall
+// (whose operands ripen cycle by cycle), reports a zero wake.
+//
 //flea:hotpath
-func (m *Machine) stepA() {
+func (m *Machine) stepA() (wake int64) {
 	if m.aHalted {
-		return
+		return pipeline.Never
 	}
 	g := m.fe.Head(m.now)
 	if g == nil {
-		return
+		return m.fe.HeadAvailAt()
 	}
 	if m.cqCount+len(g.Insts) > m.cfg.CQSize {
-		return // coupling-queue backpressure
+		return pipeline.Never // coupling-queue backpressure
 	}
 	if m.cfg.DeferThrottle > 0 && m.deferred > m.cfg.DeferThrottle {
-		return // §3.5 moderation: let the B-pipe clear the backlog
+		return pipeline.Never // §3.5 moderation: let the B-pipe clear the backlog
 	}
 	if m.cfg.StallOnAnticipable && m.blockedOnAnticipable(g) {
 		m.aBlockedAnticipable = true
-		return
+		return 0
 	}
 	m.aBlockedAnticipable = false
 	m.fe.Pop()
@@ -63,6 +69,7 @@ func (m *Machine) stepA() {
 		m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvCQEnqueue, Pipe: trace.PipeA,
 			ID: grp.insts[0].ID, PC: grp.insts[0].PC, Arg: int64(len(grp.insts))})
 	}
+	return 0
 }
 
 // emitA reports one A-pipe dispatch outcome to the trace sink: a deferral
@@ -89,11 +96,13 @@ func (m *Machine) emitA(d *pipeline.DynInst) {
 //flea:hotpath
 func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 	anticipable := false
-	var srcs []isa.Reg
 	for _, d := range g.Insts {
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
-			e := &m.afile[s]
+		in := d.In
+		for _, r := range [...]isa.Reg{in.Pred, in.Src1, in.Src2} {
+			if r == isa.RegNone || r.Hardwired() {
+				continue
+			}
+			e := &m.afile[r]
 			if !e.valid {
 				return false // a deferred producer: defer, don't stall
 			}

@@ -22,10 +22,13 @@ type bStatus struct {
 }
 
 // stepB advances the backup (architectural) pipeline by one cycle and
-// classifies the cycle into one of the six Figure 6 classes.
+// classifies the cycle into one of the six Figure 6 classes. A stalled cycle
+// also reports the first cycle at which the stall can end by itself —
+// pipeline.Never for an empty coupling queue, which only the A-pipe refills
+// — and any other cycle a zero wake.
 //
 //flea:hotpath
-func (m *Machine) stepB() {
+func (m *Machine) stepB() (cls stats.CycleClass, wake int64) {
 	if m.cq.len() == 0 {
 		cls := stats.FrontEndStall
 		if m.aBlockedAnticipable {
@@ -36,25 +39,26 @@ func (m *Machine) stepB() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				PC: -1, Arg: int64(cls), Note: cls.String()})
 		}
-		return
+		return cls, pipeline.Never
 	}
-	if m.cq.at(0).enq >= m.now {
+	if enq := m.cq.at(0).enq; enq >= m.now {
 		// The A-pipe must stay at least one cycle ahead.
 		m.col.Cycle(stats.APipeStall)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				PC: -1, Arg: int64(stats.APipeStall), Note: stats.APipeStall.String()})
 		}
-		return
+		return stats.APipeStall, enq + 1
 	}
-	set, ngroups := m.buildDispatchSet()
-	if cls, blocked := m.bBlocked(set); blocked {
+	set, ngroups, growAt := m.buildDispatchSet()
+	if cls, until, blocked := m.bBlocked(set); blocked {
 		m.col.Cycle(cls)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				ID: set[0].ID, PC: set[0].PC, Arg: int64(cls), Note: cls.String()})
 		}
-		return
+		// A regrouped set that grows may block on another register.
+		return cls, min(until, growAt)
 	}
 	m.col.Regroup(ngroups - 1)
 	if m.tr.Enabled() {
@@ -111,6 +115,7 @@ func (m *Machine) stepB() {
 		// A flush before anything retired: a recovery cycle.
 		m.col.Cycle(stats.FrontEndStall)
 	}
+	return 0, 0
 }
 
 // popHead removes the first n instructions from the coupling queue,
@@ -139,35 +144,42 @@ func (m *Machine) popHead(n int) {
 // group, plus — with regrouping enabled (2Pre) — any following groups whose
 // cross dependences were all satisfied by pre-execution and whose addition
 // fits the machine's issue resources. Each merged boundary is a stop bit the
-// regrouper removed.
+// regrouper removed. growAt is the earliest cycle at which the set could
+// take in another group without a new enqueue: the next group's enq+1, the
+// arrival of the producer result canMerge waited on, or pipeline.Never.
 //
 //flea:hotpath
-func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int) {
+func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int, growAt int64) {
 	m.dispatchSet = append(m.dispatchSet[:0], m.cq.at(0).insts...)
 	ngroups = 1
 	if !m.cfg.Regroup {
-		return m.dispatchSet, ngroups
+		return m.dispatchSet, ngroups, pipeline.Never
 	}
-	for ngroups < m.cq.len() && m.cq.at(ngroups).enq < m.now {
-		next := m.cq.at(ngroups).insts
-		if !m.canMerge(m.dispatchSet, next) {
-			break
+	for ngroups < m.cq.len() {
+		next := m.cq.at(ngroups)
+		if next.enq >= m.now {
+			return m.dispatchSet, ngroups, next.enq + 1
 		}
-		m.dispatchSet = append(m.dispatchSet, next...)
+		if ok, retry := m.canMerge(m.dispatchSet, next.insts); !ok {
+			return m.dispatchSet, ngroups, retry
+		}
+		m.dispatchSet = append(m.dispatchSet, next.insts...)
 		ngroups++
 	}
-	return m.dispatchSet, ngroups
+	return m.dispatchSet, ngroups, pipeline.Never
 }
 
 // canMerge reports whether the next queue group may issue together with the
 // current dispatch set: combined width and functional-unit usage must fit,
 // and no instruction in next may depend on a result the set has not already
-// finished pre-executing.
+// finished pre-executing. When it may not, retry is the first cycle at which
+// the answer could change: the awaited result's arrival, or pipeline.Never
+// for a structural misfit or a deferred producer.
 //
 //flea:hotpath
-func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
+func (m *Machine) canMerge(set, next []*pipeline.DynInst) (ok bool, retry int64) {
 	if len(set)+len(next) > m.cfg.IssueWidth {
-		return false
+		return false, pipeline.Never
 	}
 	var classCount [isa.NumFUClasses]int
 	for _, d := range set {
@@ -178,41 +190,47 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) bool {
 	}
 	for c := isa.FUClass(0); c < isa.NumFUClasses; c++ {
 		if m.cfg.FUs[c] > 0 && classCount[c] > m.cfg.FUs[c] {
-			return false
+			return false, pipeline.Never
 		}
 	}
-	srcs := m.srcScratch
 	for _, j := range next {
-		srcs = j.In.Sources(srcs[:0])
-		m.srcScratch = srcs
-		for _, s := range srcs {
-			// Find the youngest writer of s in the set, if any.
+		in := j.In
+		for _, r := range [...]isa.Reg{in.Pred, in.Src1, in.Src2} {
+			if r == isa.RegNone || r.Hardwired() {
+				continue
+			}
+			// Find the youngest writer of r in the set, if any.
 			for k := len(set) - 1; k >= 0; k-- {
 				i := set[k]
-				if !i.In.HasDest() || i.In.Dst != s {
+				if i.In.Dst != r {
 					continue
 				}
 				if i.Done && !i.PredOn {
 					continue // predicated off: not a writer; keep looking
 				}
-				if !i.Done || i.ReadyAt > m.now {
-					return false // latency-bearing dependence survives
+				if !i.Done {
+					return false, pipeline.Never // deferred: no result before dispatch
+				}
+				if i.ReadyAt > m.now {
+					return false, i.ReadyAt // latency-bearing dependence survives
 				}
 				break
 			}
 		}
 	}
-	return true
+	return true, 0
 }
 
 // bBlocked applies the B-pipe REG-stage interlocks to the dispatch set.
 // Pre-executed instructions never block dispatch (dangling results dispatch
 // with scoreboarded destinations); deferred instructions need ready sources,
-// a WAW-free destination, and — for loads — an outstanding-load slot.
+// a WAW-free destination, and — for loads — an outstanding-load slot. A
+// blocked set also reports the cycle its blocking operand is ready
+// (now+1 for a resource stall).
 //
 //flea:hotpath
-func (m *Machine) bBlocked(set []*pipeline.DynInst) (stats.CycleClass, bool) {
-	blockedUntil := int64(-1)
+func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, blockedUntil int64, blocked bool) {
+	blockedUntil = -1
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
 		if r == isa.RegNone || r.Hardwired() {
@@ -223,41 +241,55 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (stats.CycleClass, bool) {
 			blockedByLoad = m.bIsLoad[r]
 		}
 	}
-	srcs := m.srcScratch
 	for _, d := range set {
 		if d.Done {
 			continue
 		}
-		srcs = d.In.Sources(srcs[:0])
-		for _, s := range srcs {
-			consider(s)
-		}
-		if d.In.HasDest() {
-			consider(d.In.Dst)
-		}
+		in := d.In
+		consider(in.Pred)
+		consider(in.Src1)
+		consider(in.Src2)
+		consider(in.Dst)
 	}
-	m.srcScratch = srcs
 	if blockedUntil > m.now {
 		if blockedByLoad {
-			return stats.LoadStall, true
+			return stats.LoadStall, blockedUntil, true
 		}
-		return stats.NonLoadDepStall, true
+		return stats.NonLoadDepStall, blockedUntil, true
 	}
 	addrs := m.addrScratch[:0]
-	for _, d := range set {
+	for k, d := range set {
 		if d.Done || !d.In.Op.IsLoad() {
 			continue
 		}
-		if m.bst.Read(d.In.Pred) == 0 {
+		if m.setRead(set[:k], d.In.Pred) == 0 {
 			continue
 		}
-		addrs = append(addrs, isa.EffectiveAddress(m.bst.Read(d.In.Src1), d.In.Imm))
+		addrs = append(addrs, isa.EffectiveAddress(m.setRead(set[:k], d.In.Src1), d.In.Imm))
 	}
 	m.addrScratch = addrs
 	if len(addrs) > 0 && !m.hier.CanAcceptLoads(addrs, m.now) {
-		return stats.ResourceStall, true
+		return stats.ResourceStall, m.now + 1, true
 	}
-	return 0, false
+	return 0, 0, false
+}
+
+// setRead returns the value register r will hold when an instruction
+// dispatching after older, the preceding members of its dispatch set, reads
+// it: the result of the youngest predicated-on writer among them, else the
+// B-file. Only a regrouped (2Pre) set has such writers, and canMerge admits
+// them only once pre-executed, so their results are already known.
+//
+//flea:hotpath
+func (m *Machine) setRead(older []*pipeline.DynInst, r isa.Reg) isa.Value {
+	if r != isa.RegNone && !r.Hardwired() {
+		for k := len(older) - 1; k >= 0; k-- {
+			if i := older[k]; i.In.Dst == r && i.Done && i.PredOn {
+				return i.Val
+			}
+		}
+	}
+	return m.bst.Read(r)
 }
 
 // processB retires one instruction: merging an A-pipe result, or executing a

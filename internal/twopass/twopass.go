@@ -222,10 +222,9 @@ type Machine struct {
 	// returned to it so the cycle loop performs no per-instruction
 	// allocation.
 	arena *pipeline.Arena
-	// dispatchSet, srcScratch and addrScratch are reusable hot-loop
-	// buffers (buildDispatchSet, bBlocked, canMerge).
+	// dispatchSet and addrScratch are reusable hot-loop buffers
+	// (buildDispatchSet, bBlocked).
 	dispatchSet []*pipeline.DynInst
-	srcScratch  []isa.Reg
 	addrScratch []uint32
 
 	// checkpoints holds A-file snapshots taken when branches defer
@@ -342,11 +341,14 @@ func (m *Machine) Run() (*stats.Run, error) {
 		} else {
 			m.fe.Tick(m.now)
 		}
-		m.stepA()
-		m.stepB()
+		aWake := m.stepA()
+		cls, bWake := m.stepB()
 		m.col.CQOccupancy(m.cqCount)
 		if m.snapshotDue() {
 			m.draining = true
+		}
+		if wake := min(aWake, bWake); wake > m.now+1 && !m.tr.Enabled() {
+			m.skipStalled(cls, wake)
 		}
 		m.now++
 	}
@@ -355,6 +357,24 @@ func (m *Machine) Run() (*stats.Run, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// skipStalled charges the cycles now+1 … wake-1, in which both pipes stay
+// idle, to the B-pipe's stall class cls in bulk (with the unchanged
+// coupling-queue occupancy) and advances now to wake-1. wake is the earlier
+// of the two pipes' own wake cycles; an idle pipe changes nothing the other
+// reads, so until then the B-pipe's dispatch set and class are fixed. The
+// skip never passes the front end's next fetch, the next cancellation check
+// or MaxCycles.
+//
+//flea:hotpath
+func (m *Machine) skipStalled(cls stats.CycleClass, wake int64) {
+	wake = min(wake, m.fe.NextFetch(m.now), (m.now|4095)+1, m.cfg.MaxCycles)
+	if n := wake - m.now - 1; n > 0 {
+		m.col.Cycles(cls, n)
+		m.col.CQOccupancyCycles(m.cqCount, n)
+		m.now += n
+	}
 }
 
 // readA reports whether register r is consumable in the A-pipe at now, and
