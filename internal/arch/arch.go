@@ -31,16 +31,20 @@ func NewState(m *mem.Image) *State {
 
 // Read returns the value of register r, honoring hardwired registers.
 // Reading RegNone (an absent operand) yields 0.
+//
+//flea:inline
 func (s *State) Read(r isa.Reg) isa.Value {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return isa.HardwiredValue(r)
 	}
 	return s.Regs[r]
 }
 
 // Write sets register r to v; writes to hardwired registers are discarded.
+//
+//flea:inline
 func (s *State) Write(r isa.Reg, v isa.Value) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	s.Regs[r] = v

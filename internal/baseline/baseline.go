@@ -285,7 +285,7 @@ func (m *Machine) groupBlocked(g *pipeline.Group) (cls stats.CycleClass, wake in
 	blockedUntil := int64(-1)
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
-		if r == isa.RegNone || r.Hardwired() {
+		if r.Fixed() {
 			return
 		}
 		if t := m.ready[r]; t > m.now && t > blockedUntil {
@@ -368,8 +368,9 @@ func (m *Machine) dispatch(g *pipeline.Group) {
 }
 
 //flea:hotpath
+//flea:inline
 func (m *Machine) setReady(r isa.Reg, at int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	m.ready[r] = at

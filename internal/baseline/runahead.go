@@ -188,8 +188,9 @@ func (m *Machine) runaheadBranch(d *pipeline.DynInst, predOn bool) (squash bool)
 }
 
 //flea:hotpath
+//flea:inline
 func (m *Machine) raRead(r isa.Reg) (isa.Value, bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return isa.HardwiredValue(r), true
 	}
 	if m.raPoison[r] || m.raReady[r] > m.now {
@@ -199,8 +200,9 @@ func (m *Machine) raRead(r isa.Reg) (isa.Value, bool) {
 }
 
 //flea:hotpath
+//flea:inline
 func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	m.raRegs[r] = v
@@ -209,8 +211,9 @@ func (m *Machine) raWrite(r isa.Reg, v isa.Value, readyAt int64) {
 }
 
 //flea:hotpath
+//flea:inline
 func (m *Machine) raPoisonDst(r isa.Reg) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	m.raPoison[r] = true

@@ -223,3 +223,27 @@ func TestSkipRespectsMaxCycles(t *testing.T) {
 		})
 	}
 }
+
+// TestSkipHeldStallTailGrows covers the one way a held 2Pre operand stall
+// can change before its wake. The dispatch set {fadd} has taken every
+// queued group and waits on the fdiv, a non-load producer. The next group
+// reaches the queue three cycles late (its I-cache line comes from L2),
+// merges into the set, and blocks it on the earlier cold load, which
+// returns much later: from that cycle on the stall is a load stall. The
+// enqueue must end the hold, or the untraced run charges those cycles to
+// the wrong class.
+func TestSkipHeldStallTailGrows(t *testing.T) {
+	prog := program.MustAssemble(t.Name(), `
+        movi r1 = 0x40000 ;;
+        nop ;;
+        nop ;;
+        nop ;;
+        ld4 r2 = [r1] ;;          // cold miss
+        fdiv f3 = f1, f1 ;;       // 20-cycle non-load producer
+        nop ;;
+        fadd f4 = f3, f3 ;;       // deferred; blocks the B-pipe on f3
+        add r6 = r2, r2 ;;        // first instruction of the next I-cache line
+        halt ;;
+`)
+	checkSkipEquivalent(t, TwoPassRegroup, DefaultConfig(), prog)
+}

@@ -28,12 +28,14 @@ func AsI32(v Value) int32 { return int32(uint32(v)) }
 func I32Value(x int32) Value { return Value(uint32(x)) }
 
 // HardwiredValue returns the fixed value of a hardwired register
-// (r0=0, f0=0.0, f1=1.0, p0=1).
+// (r0=0, f0=0.0, f1=1.0, p0=1), and 0 for RegNone or any other register.
+//
+//flea:inline
 func HardwiredValue(r Reg) Value {
 	switch r {
-	case F(1):
+	case fpBase + 1:
 		return FPValue(1.0)
-	case P(0):
+	case predBase:
 		return 1
 	default:
 		return 0

@@ -37,13 +37,13 @@ func Nop() Inst {
 // an instruction cannot dispatch, even as a no-op, before its predicate is
 // known. Hardwired registers are always ready, so they are omitted.
 func (in *Inst) Sources(dst []Reg) []Reg {
-	if in.Pred != RegNone && !in.Pred.Hardwired() {
+	if !in.Pred.Fixed() {
 		dst = append(dst, in.Pred)
 	}
-	if in.Src1 != RegNone && !in.Src1.Hardwired() {
+	if !in.Src1.Fixed() {
 		dst = append(dst, in.Src1)
 	}
-	if in.Src2 != RegNone && !in.Src2.Hardwired() {
+	if !in.Src2.Fixed() {
 		dst = append(dst, in.Src2)
 	}
 	return dst
@@ -51,9 +51,9 @@ func (in *Inst) Sources(dst []Reg) []Reg {
 
 // HasDest reports whether the instruction writes a register that is not
 // hardwired.
-func (in *Inst) HasDest() bool {
-	return in.Dst != RegNone && !in.Dst.Hardwired()
-}
+//
+//flea:inline
+func (in *Inst) HasDest() bool { return !in.Dst.Fixed() }
 
 // String renders the instruction in the textual assembly syntax accepted by
 // package program.

@@ -67,10 +67,24 @@ func (r Reg) IsFP() bool { return r >= fpBase && r < predBase }
 func (r Reg) IsPred() bool { return r >= predBase && r != RegNone }
 
 // Hardwired reports whether writes to r are discarded and reads return a
-// fixed value (r0=0, f0=0.0, f1=1.0, p0=true).
+// fixed value (r0=0, f0=0.0, f1=1.0, p0=true). It compares against the
+// layout constants rather than calling R/F/P, whose panic paths would put it
+// over the inlining budget.
+//
+//flea:inline
 func (r Reg) Hardwired() bool {
-	return r == R(0) || r == F(0) || r == F(1) || r == P(0)
+	return r == 0 || r == fpBase || r == fpBase+1 || r == predBase
 }
+
+// fixedRegs marks RegNone and the hardwired registers (see Fixed).
+var fixedRegs = [256]bool{0: true, fpBase: true, fpBase + 1: true, predBase: true, RegNone: true}
+
+// Fixed reports whether r is absent (RegNone) or hardwired: an operand that
+// is always ready, reads a fixed value and discards writes. It is one table
+// load, for the machines' per-operand hot paths.
+//
+//flea:inline
+func (r Reg) Fixed() bool { return fixedRegs[r] }
 
 // String renders the register in assembly syntax (r7, f3, p1).
 func (r Reg) String() string {

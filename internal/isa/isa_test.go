@@ -70,6 +70,28 @@ func TestHardwired(t *testing.T) {
 	}
 }
 
+// TestFixedMatchesDefinition pins the table behind Fixed to its definition
+// for every Reg value, and the hardwired values to r0=0, f0=0.0, f1=1.0 and
+// p0=1.
+func TestFixedMatchesDefinition(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		r := Reg(i)
+		if want := r == RegNone || r.Hardwired(); r.Fixed() != want {
+			t.Errorf("Reg(%d).Fixed() = %v, want %v", i, r.Fixed(), want)
+		}
+	}
+	for _, c := range []struct {
+		r    Reg
+		want Value
+	}{
+		{R(0), 0}, {F(0), FPValue(0.0)}, {F(1), FPValue(1.0)}, {P(0), 1},
+	} {
+		if got := HardwiredValue(c.r); got != c.want {
+			t.Errorf("HardwiredValue(%s) = %#x, want %#x", c.r, got, c.want)
+		}
+	}
+}
+
 func TestRegPanicsOutOfRange(t *testing.T) {
 	for _, f := range []func(){
 		func() { R(64) }, func() { F(64) }, func() { P(16) }, func() { R(-1) },

@@ -122,8 +122,27 @@ func (m *Image) SetByte(addr uint32, b byte) {
 }
 
 // Read returns size bytes starting at addr as a little-endian integer.
-// size must be 1, 2, 4 or 8. Accesses may cross page boundaries.
+// size must be 1, 2, 4 or 8. Accesses may cross page boundaries; one that
+// stays inside a page (every aligned access does) costs a single page
+// lookup.
 func (m *Image) Read(addr uint32, size int) uint64 {
+	if off := addr & (pageSize - 1); int(off)+size <= pageSize {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
+		b := p[off:]
+		switch size {
+		case 1:
+			return uint64(b[0])
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(b))
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(b))
+		case 8:
+			return binary.LittleEndian.Uint64(b)
+		}
+	}
 	var buf [8]byte
 	for i := 0; i < size; i++ {
 		buf[i] = m.Byte(addr + uint32(i))
@@ -131,10 +150,29 @@ func (m *Image) Read(addr uint32, size int) uint64 {
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
+// Write stores the low size bytes of v at addr, little-endian. size must be
+// 1, 2, 4 or 8. Like Read, an access inside one page takes a single
+// (copy-on-write faulting) page lookup.
 func (m *Image) Write(addr uint32, size int, v uint64) {
 	if m.onWrite != nil {
 		m.onWrite(addr, size, v)
+	}
+	if off := addr & (pageSize - 1); int(off)+size <= pageSize {
+		b := m.page(addr, true)[off:]
+		switch size {
+		case 1:
+			b[0] = byte(v)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(b, uint16(v))
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(b, uint32(v))
+			return
+		case 8:
+			binary.LittleEndian.PutUint64(b, v)
+			return
+		}
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -111,5 +112,84 @@ func TestImageRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestImageAccessPaths checks Read and Write at every size on the one-page
+// fast path (offsets 0 and PageBytes-size) and on the per-byte path across a
+// page boundary (PageBytes-size+1): against Byte/SetByte, on an unallocated
+// page, under a snapshot sharing the page, and with a write observer.
+func TestImageAccessPaths(t *testing.T) {
+	const base = 5 * PageBytes
+	const v = uint64(0x8877665544332211)
+	for _, size := range []int{1, 2, 4, 8} {
+		mask := uint64(1)<<(8*size) - 1
+		for _, off := range []uint32{0, PageBytes - uint32(size), PageBytes - uint32(size) + 1} {
+			addr := uint32(base) + off
+			t.Run(fmt.Sprintf("size%d/off%#x", size, off), func(t *testing.T) {
+				// Unallocated pages read as zero and stay unallocated.
+				m := NewImage()
+				if got := m.Read(addr, size); got != 0 {
+					t.Errorf("unallocated Read = %#x, want 0", got)
+				}
+				if n := len(m.PageBases()); n != 0 {
+					t.Errorf("Read allocated %d pages", n)
+				}
+
+				// Read assembles what SetByte stored, little-endian.
+				var want uint64
+				for i := 0; i < size; i++ {
+					b := byte(0xA0 + i)
+					m.SetByte(addr+uint32(i), b)
+					want |= uint64(b) << (8 * i)
+				}
+				if got := m.Read(addr, size); got != want {
+					t.Errorf("Read after SetByte = %#x, want %#x", got, want)
+				}
+
+				// Write stores exactly size bytes, seen by Byte; the
+				// observer sees the call once.
+				var calls []uint64
+				m.Observe(func(a uint32, n int, x uint64) {
+					if a != addr || n != size {
+						t.Errorf("observer saw (%#x, %d), want (%#x, %d)", a, n, addr, size)
+					}
+					calls = append(calls, x)
+				})
+				m.SetByte(addr-1, 0x5A)
+				m.SetByte(addr+uint32(size), 0x5B)
+				m.Write(addr, size, v)
+				if len(calls) != 1 || calls[0] != v {
+					t.Errorf("observer calls = %#x, want one of %#x", calls, v)
+				}
+				for i := 0; i < size; i++ {
+					if got, want := m.Byte(addr+uint32(i)), byte(v>>(8*i)); got != want {
+						t.Errorf("Byte(addr+%d) = %#x, want %#x", i, got, want)
+					}
+				}
+				if m.Byte(addr-1) != 0x5A || m.Byte(addr+uint32(size)) != 0x5B {
+					t.Error("Write touched a neighbouring byte")
+				}
+				if got := m.Read(addr, size); got != v&mask {
+					t.Errorf("Read after Write = %#x, want %#x", got, v&mask)
+				}
+
+				// A write into pages shared with a snapshot faults them
+				// to private copies: the snapshot keeps the old bytes.
+				snap := m.Snapshot()
+				m.Write(addr, size, ^v)
+				if got := m.Read(addr, size); got != ^v&mask {
+					t.Errorf("Read after shared Write = %#x, want %#x", got, ^v&mask)
+				}
+				for i := 0; i < size; i++ {
+					if got, want := snap.Byte(addr+uint32(i)), byte(v>>(8*i)); got != want {
+						t.Errorf("snapshot Byte(addr+%d) = %#x, want %#x", i, got, want)
+					}
+				}
+				if got := snap.Image().Read(addr, size); got != v&mask {
+					t.Errorf("snapshot Read = %#x, want %#x", got, v&mask)
+				}
+			})
+		}
 	}
 }

@@ -44,6 +44,9 @@ func (m *Machine) stepA() (wake int64) {
 
 	grp := m.cq.pushTail()
 	grp.enq = m.now
+	if m.hold.tail {
+		m.hold.until = 0 // the held set may merge this group
+	}
 	for i := 0; i < len(g.Insts); i++ {
 		d := g.Insts[i]
 		squash := m.processA(d)
@@ -99,7 +102,7 @@ func (m *Machine) blockedOnAnticipable(g *pipeline.Group) bool {
 	for _, d := range g.Insts {
 		in := d.In
 		for _, r := range [...]isa.Reg{in.Pred, in.Src1, in.Src2} {
-			if r == isa.RegNone || r.Hardwired() {
+			if r.Fixed() {
 				continue
 			}
 			e := &m.afile[r]

@@ -27,6 +27,14 @@ type bStatus struct {
 // pipeline.Never for an empty coupling queue, which only the A-pipe refills
 // — and any other cycle a zero wake.
 //
+// An operand stall is held: until its wake the dispatch set and its
+// blocking register stay fixed, so the following cycles charge the same
+// class without rebuilding the set. Only the B-pipe writes bready or changes
+// the head of the queue, and it does so only on a cycle that dispatches.
+// A resource stall is never held (A-pipe loads change the miss pool), and
+// nothing is held while a tracer is attached, which sees one stall event
+// per cycle.
+//
 //flea:hotpath
 func (m *Machine) stepB() (cls stats.CycleClass, wake int64) {
 	if m.cq.len() == 0 {
@@ -50,15 +58,24 @@ func (m *Machine) stepB() (cls stats.CycleClass, wake int64) {
 		}
 		return stats.APipeStall, enq + 1
 	}
+	if m.now < m.hold.until {
+		m.col.Cycle(m.hold.cls)
+		return m.hold.cls, m.hold.until
+	}
 	set, ngroups, growAt := m.buildDispatchSet()
 	if cls, until, blocked := m.bBlocked(set); blocked {
 		m.col.Cycle(cls)
+		// A regrouped set that grows may block on another register.
+		wake := min(until, growAt)
 		if m.tr.Enabled() {
 			m.tr.Emit(trace.Event{Cycle: m.now, Type: trace.EvStall, Pipe: trace.PipeB,
 				ID: set[0].ID, PC: set[0].PC, Arg: int64(cls), Note: cls.String()})
+		} else if cls != stats.ResourceStall {
+			// A 2Pre set holding every queued group grows into the next
+			// enqueue, which stepA signals by ending the hold.
+			m.hold = bHold{cls: cls, until: wake, tail: m.cfg.Regroup && ngroups == m.cq.len()}
 		}
-		// A regrouped set that grows may block on another register.
-		return cls, min(until, growAt)
+		return cls, wake
 	}
 	m.col.Regroup(ngroups - 1)
 	if m.tr.Enabled() {
@@ -147,20 +164,27 @@ func (m *Machine) popHead(n int) {
 // regrouper removed. growAt is the earliest cycle at which the set could
 // take in another group without a new enqueue: the next group's enq+1, the
 // arrival of the producer result canMerge waited on, or pipeline.Never.
+// Without regrouping the set is the head group's own slice, which the caller
+// must not modify.
 //
 //flea:hotpath
 func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int, growAt int64) {
-	m.dispatchSet = append(m.dispatchSet[:0], m.cq.at(0).insts...)
-	ngroups = 1
+	head := m.cq.at(0).insts
 	if !m.cfg.Regroup {
-		return m.dispatchSet, ngroups, pipeline.Never
+		return head, 1, pipeline.Never
+	}
+	m.dispatchSet = append(m.dispatchSet[:0], head...)
+	ngroups = 1
+	var classCount [isa.NumFUClasses]int
+	for _, d := range head {
+		classCount[d.In.Op.Class()]++
 	}
 	for ngroups < m.cq.len() {
 		next := m.cq.at(ngroups)
 		if next.enq >= m.now {
 			return m.dispatchSet, ngroups, next.enq + 1
 		}
-		if ok, retry := m.canMerge(m.dispatchSet, next.insts); !ok {
+		if ok, retry := m.canMerge(m.dispatchSet, &classCount, next.insts); !ok {
 			return m.dispatchSet, ngroups, retry
 		}
 		m.dispatchSet = append(m.dispatchSet, next.insts...)
@@ -172,19 +196,18 @@ func (m *Machine) buildDispatchSet() (set []*pipeline.DynInst, ngroups int, grow
 // canMerge reports whether the next queue group may issue together with the
 // current dispatch set: combined width and functional-unit usage must fit,
 // and no instruction in next may depend on a result the set has not already
-// finished pre-executing. When it may not, retry is the first cycle at which
-// the answer could change: the awaited result's arrival, or pipeline.Never
-// for a structural misfit or a deferred producer.
+// finished pre-executing. setClasses counts the set's instructions per
+// functional-unit class; a merge adds next's to it. When the merge is
+// refused, retry is the first cycle at which the answer could change: the
+// awaited result's arrival, or pipeline.Never for a structural misfit or a
+// deferred producer.
 //
 //flea:hotpath
-func (m *Machine) canMerge(set, next []*pipeline.DynInst) (ok bool, retry int64) {
+func (m *Machine) canMerge(set []*pipeline.DynInst, setClasses *[isa.NumFUClasses]int, next []*pipeline.DynInst) (ok bool, retry int64) {
 	if len(set)+len(next) > m.cfg.IssueWidth {
 		return false, pipeline.Never
 	}
-	var classCount [isa.NumFUClasses]int
-	for _, d := range set {
-		classCount[d.In.Op.Class()]++
-	}
+	classCount := *setClasses
 	for _, d := range next {
 		classCount[d.In.Op.Class()]++
 	}
@@ -196,7 +219,7 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) (ok bool, retry int64)
 	for _, j := range next {
 		in := j.In
 		for _, r := range [...]isa.Reg{in.Pred, in.Src1, in.Src2} {
-			if r == isa.RegNone || r.Hardwired() {
+			if r.Fixed() {
 				continue
 			}
 			// Find the youngest writer of r in the set, if any.
@@ -218,6 +241,7 @@ func (m *Machine) canMerge(set, next []*pipeline.DynInst) (ok bool, retry int64)
 			}
 		}
 	}
+	*setClasses = classCount
 	return true, 0
 }
 
@@ -233,7 +257,7 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, block
 	blockedUntil = -1
 	blockedByLoad := false
 	consider := func(r isa.Reg) {
-		if r == isa.RegNone || r.Hardwired() {
+		if r.Fixed() {
 			return
 		}
 		if t := m.bready[r]; t > m.now && t > blockedUntil {
@@ -282,7 +306,7 @@ func (m *Machine) bBlocked(set []*pipeline.DynInst) (cls stats.CycleClass, block
 //
 //flea:hotpath
 func (m *Machine) setRead(older []*pipeline.DynInst, r isa.Reg) isa.Value {
-	if r != isa.RegNone && !r.Hardwired() {
+	if !r.Fixed() {
 		for k := len(older) - 1; k >= 0; k-- {
 			if i := older[k]; i.In.Dst == r && i.Done && i.PredOn {
 				return i.Val
@@ -428,8 +452,9 @@ func (m *Machine) executeDeferredB(d *pipeline.DynInst) bStatus {
 }
 
 //flea:hotpath
+//flea:inline
 func (m *Machine) setBReady(r isa.Reg, at int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	m.bready[r] = at

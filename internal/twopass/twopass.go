@@ -131,6 +131,15 @@ type cpEntry struct {
 	cp *[isa.NumRegs]aEntry
 }
 
+// bHold is a held B-pipe operand stall (see stepB): every cycle before
+// until is charged to cls. tail marks a 2Pre set that took every queued
+// group, whose hold stepA's next enqueue ends.
+type bHold struct {
+	cls   stats.CycleClass
+	until int64
+	tail  bool
+}
+
 // cqGroup is one issue group in the coupling queue.
 type cqGroup struct {
 	insts []*pipeline.DynInst
@@ -226,6 +235,7 @@ type Machine struct {
 	// (buildDispatchSet, bBlocked).
 	dispatchSet []*pipeline.DynInst
 	addrScratch []uint32
+	hold        bHold
 
 	// checkpoints holds A-file snapshots taken when branches defer
 	// (CheckpointRepair only). Entries are kept in dispatch order — dynamic
@@ -382,8 +392,9 @@ func (m *Machine) skipStalled(cls stats.CycleClass, wake int64) {
 // deferred (V clear) or because its value is still in flight.
 //
 //flea:hotpath
+//flea:inline
 func (m *Machine) readA(r isa.Reg) (isa.Value, bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return isa.HardwiredValue(r), true
 	}
 	e := &m.afile[r]
@@ -396,8 +407,9 @@ func (m *Machine) readA(r isa.Reg) (isa.Value, bool) {
 // writeA records an A-pipe result in the A-file.
 //
 //flea:hotpath
+//flea:inline
 func (m *Machine) writeA(r isa.Reg, id uint64, v isa.Value, readyAt int64, fromLoad bool) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	m.afile[r] = aEntry{val: v, valid: true, spec: true, dynID: id, readyAt: readyAt, fromLoad: fromLoad}
@@ -407,8 +419,9 @@ func (m *Machine) writeA(r isa.Reg, id uint64, v isa.Value, readyAt int64, fromL
 // which transitively defers its consumers.
 //
 //flea:hotpath
+//flea:inline
 func (m *Machine) invalidateA(r isa.Reg, id uint64) {
-	if r == isa.RegNone || r.Hardwired() {
+	if r.Fixed() {
 		return
 	}
 	e := &m.afile[r]
@@ -424,7 +437,7 @@ func (m *Machine) invalidateA(r isa.Reg, id uint64) {
 //
 //flea:hotpath
 func (m *Machine) feedback(r isa.Reg, id uint64, v isa.Value, producedAt int64) {
-	if m.cfg.FeedbackLatency < 0 || r == isa.RegNone || r.Hardwired() {
+	if m.cfg.FeedbackLatency < 0 || r.Fixed() {
 		return
 	}
 	e := &m.afile[r]
@@ -458,7 +471,7 @@ const RepairBandwidth = 8
 func (m *Machine) repairAFile(flushID uint64) (repaired int) {
 	for r := range m.afile {
 		reg := isa.Reg(r)
-		if reg.Hardwired() {
+		if reg.Fixed() {
 			continue
 		}
 		e := &m.afile[r]
