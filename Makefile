@@ -83,11 +83,12 @@ fuzz-smoke:
 # backend executes chunks), a retuned second coordinator must serve the full
 # re-run from federated caches (nonzero peer hits, zero fresh simulations),
 # killing a backend mid-campaign must re-route its chunks with zero errors,
-# and the capacity model must show >= 1.5x speedup of three backends over
-# one.
+# the capacity model must show >= 1.5x speedup of three backends over one,
+# and a unit routed to a backend already at its advertised worker count must
+# be stolen by an idle one instead of queueing behind it.
 cluster-smoke:
 	FLEA_CLUSTER_PROGRAMS=2000 $(GO) test -race -count=1 \
-		-run='^(TestClusterSmokeCampaign|TestClusterKillBackendMidCampaign|TestClusterSpeedup|TestClusterStealVsComplete|TestClusterBackendDiesMidJob)$$' \
+		-run='^(TestClusterSmokeCampaign|TestClusterKillBackendMidCampaign|TestClusterSpeedup|TestClusterStealVsComplete|TestClusterBackendDiesMidJob|TestClusterCapacityStealsQueuedUnit)$$' \
 		./internal/cluster/
 
 # flow-smoke is the orchestration gate: the tiny two-stage smoke pipeline

@@ -38,10 +38,15 @@ func newBackendClient(rawURL string) *backendClient {
 	return &backendClient{Client: c, id: c.ID()}
 }
 
-// health probes /healthz. Any 200 is healthy; a draining backend (503)
-// reports an error so the prober marks it down and routing moves on.
-func (c *backendClient) health(ctx context.Context) error {
-	return c.Health(ctx)
+// health probes /healthz and returns the backend's advertised worker count.
+// Any 200 is healthy; a draining backend (503) reports an error so the
+// prober marks it down and routing moves on.
+func (c *backendClient) health(ctx context.Context) (workers int, err error) {
+	h, err := c.Health(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return h.Workers, nil
 }
 
 // submitUnit posts one resolved unit as a single-unit job and returns the

@@ -37,9 +37,11 @@ type Config struct {
 	// Replicas is the virtual-node count per backend on the hash ring
 	// (default 64).
 	Replicas int
-	// SlotsPerBackend is how many units the coordinator keeps in flight per
-	// backend (default 4): enough to cover submit+poll latency, small enough
-	// that queue depth — the steal signal — stays visible coordinator-side.
+	// SlotsPerBackend is the number of dispatch slots per backend (default
+	// 4): an upper bound on the units kept in flight there. Within it, a
+	// backend holds at most as many units as the workers it advertises on
+	// /healthz (1 until the first successful probe), so units beyond its
+	// capacity queue here, where idle backends can steal them.
 	SlotsPerBackend int
 	// QueueDepth bounds the total queued-unit count across backends
 	// (default 1024); admission is all-or-nothing per job against it.
@@ -162,7 +164,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:    newRing(ids, cfg.Replicas),
 		clients: clients,
 		fed:     newFedCache(met),
-		sched:   newScheduler(len(clients), met),
+		sched:   newScheduler(len(clients), cfg.SlotsPerBackend, met),
 		jobs:    make(map[string]*Job),
 	}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
@@ -207,16 +209,12 @@ func (c *Coordinator) LiveBackends() int {
 // federated cache (hit, coalesce, or claim), and every claimed unit is
 // routed onto a backend queue all-or-nothing.
 func (c *Coordinator) Submit(spec service.JobSpec) (*Job, error) {
-	units, err := service.ExpandUnits(spec)
+	units, err := service.ExpandUnits(spec, c.cfg.MaxUnitsPerJob)
 	if err != nil {
 		return nil, err
 	}
 	if len(units) == 0 {
 		return nil, fmt.Errorf("%w: spec expands to zero units", service.ErrInvalidSpec)
-	}
-	if len(units) > c.cfg.MaxUnitsPerJob {
-		return nil, fmt.Errorf("%w: %d units exceeds the per-job limit of %d",
-			service.ErrInvalidSpec, len(units), c.cfg.MaxUnitsPerJob)
 	}
 
 	c.mu.Lock()
@@ -353,9 +351,7 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 			c.met.peerLookups.Inc()
 			if res, ok := c.clients[p].cacheLookup(ctx, t.key); ok {
 				c.met.peerHits.Inc()
-				if c.fed.complete(t.entry, res, "peer:"+c.clients[p].id, nil) {
-					c.met.unitsCompleted.Inc()
-				}
+				c.fed.complete(t.entry, res, "peer:"+c.clients[p].id, nil)
 				outcome = taskPeerServed
 				return
 			}
@@ -382,9 +378,7 @@ func (c *Coordinator) execute(b int, t *unitTask) {
 		c.failTask(t, fmt.Errorf("cluster: unit failed on %s: %s", c.clients[b].id, msg))
 		return
 	}
-	if c.fed.complete(t.entry, st.Units[0].Result, c.clients[b].id, nil) {
-		c.met.unitsCompleted.Inc()
-	}
+	c.fed.complete(t.entry, st.Units[0].Result, c.clients[b].id, nil)
 	outcome = taskExecuted
 }
 
@@ -448,9 +442,7 @@ func (c *Coordinator) retryTask(b int, t *unitTask, err error) {
 
 // failTask seals a task's entry with an error.
 func (c *Coordinator) failTask(t *unitTask, err error) {
-	if c.fed.complete(t.entry, nil, "", err) {
-		c.met.unitsFailed.Inc()
-	}
+	c.fed.complete(t.entry, nil, "", err)
 }
 
 // noteBackendFailure records one passive health failure for backend b —
@@ -471,29 +463,32 @@ func (c *Coordinator) noteBackendFailure(b int) {
 
 // probe is backend b's health loop: it marks the backend down after
 // FailThreshold consecutive failures — re-routing everything queued on it —
-// and back up after UpThreshold consecutive successes.
+// and back up after UpThreshold consecutive successes. Every successful
+// probe records the backend's advertised worker count as its capacity. The
+// first probe goes out at once, so capacity is known before the first
+// interval has passed.
 func (c *Coordinator) probe(b int) {
 	defer c.probeWG.Done()
 	ticker := time.NewTicker(c.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
+		probeCtx, cancel := context.WithTimeout(c.baseCtx, c.cfg.ProbeTimeout)
+		workers, err := c.clients[b].health(probeCtx)
+		cancel()
+		if err != nil {
+			c.noteBackendFailure(b)
+		} else {
+			c.sched.setCapacity(b, workers)
+			if _, _, markedUp := c.sched.noteProbe(b, true, c.cfg.FailThreshold, c.cfg.UpThreshold); markedUp {
+				// Fresh capacity: wake every backend's slots so stealing can
+				// rebalance onto (and off) the returned node.
+				c.sched.signalAll()
+			}
+		}
 		select {
 		case <-c.baseCtx.Done():
 			return
 		case <-ticker.C:
-		}
-		probeCtx, cancel := context.WithTimeout(c.baseCtx, c.cfg.ProbeTimeout)
-		err := c.clients[b].health(probeCtx)
-		cancel()
-		if err != nil {
-			c.noteBackendFailure(b)
-			continue
-		}
-		_, _, markedUp := c.sched.noteProbe(b, true, c.cfg.FailThreshold, c.cfg.UpThreshold)
-		if markedUp {
-			// Fresh capacity: wake every backend's slots so stealing can
-			// rebalance onto (and off) the returned node.
-			c.sched.signalAll()
 		}
 	}
 }

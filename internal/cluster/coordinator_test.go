@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,7 +27,66 @@ func fastProbes(c Config) Config {
 // stubRunner fabricates a deterministic result after an optional pause and
 // counts real executions across all backends.
 func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {
+	return service.WithRunner(stubRun(executions, pause))
+}
+
+// gatedRunner is stubRunner, except that units carrying occupySeed block
+// until gate closes and are not counted as executions.
+func gatedRunner(executions *atomic.Int64, pause time.Duration, gate <-chan struct{}) service.Option {
+	stub := stubRun(executions, pause)
 	return service.WithRunner(func(ctx context.Context, u service.UnitSpec) (*stats.Run, error) {
+		if u.Seed != occupySeed {
+			return stub(ctx, u)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-gate:
+		}
+		return &stats.Run{Benchmark: u.Bench, Model: u.ModelName}, nil
+	})
+}
+
+// occupySeed marks the units occupyBackend submits.
+const occupySeed = 99
+
+// occupyBackend fills backend i's single worker and its queueDepth-deep
+// admission queue with gated units submitted straight to the backend, as
+// another client of the same daemon would. The coordinator keeps no more
+// units in flight on a backend than it has workers, so a full backend
+// queue — and with it the 429 path — needs such a second client.
+func occupyBackend(t *testing.T, l *Local, i, queueDepth int) {
+	t.Helper()
+	sizes := make([]int, 1+queueDepth)
+	for k := range sizes {
+		sizes[k] = 16 + k
+	}
+	units, err := service.ExpandUnits(service.JobSpec{
+		Kind: "sweep", Model: "2P", Bench: "300.twolf", Seed: occupySeed,
+		Sweep: &service.SweepAxes{CQSizes: sizes},
+	}, 1024)
+	if err != nil {
+		t.Fatalf("expanding occupying units: %v", err)
+	}
+	m := l.Manager(i)
+	if _, err := m.SubmitUnits(units[:1], 0); err != nil {
+		t.Fatalf("occupying backend %d's worker: %v", i, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.QueueDepth() != 0 { // the worker has taken the first unit
+		if time.Now().After(deadline) {
+			t.Fatalf("backend %d's worker never started the occupying unit", i)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := m.SubmitUnits(units[1:], 0); err != nil {
+		t.Fatalf("filling backend %d's queue: %v", i, err)
+	}
+}
+
+// stubRun is stubRunner's runner function.
+func stubRun(executions *atomic.Int64, pause time.Duration) service.Runner {
+	return func(ctx context.Context, u service.UnitSpec) (*stats.Run, error) {
 		executions.Add(1)
 		if pause > 0 {
 			select {
@@ -41,7 +101,7 @@ func stubRunner(executions *atomic.Int64, pause time.Duration) service.Option {
 			Cycles:       1000 + int64(u.Config.CQSize),
 			Instructions: 500,
 		}, nil
-	})
+	}
 }
 
 // waitClusterDone fails the test when the job does not reach a terminal
@@ -213,7 +273,7 @@ func TestClusterFederationPeerHit(t *testing.T) {
 	defer l.Close()
 
 	spec := service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: 42}
-	units, err := service.ExpandUnits(spec)
+	units, err := service.ExpandUnits(spec, 1024)
 	if err != nil || len(units) != 1 {
 		t.Fatalf("expand: %v (%d units)", err, len(units))
 	}
@@ -284,25 +344,35 @@ func TestClusterFederationPeerHit(t *testing.T) {
 // failing units.
 func TestClusterBackpressureRetries(t *testing.T) {
 	var executions atomic.Int64
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
 	l, err := StartLocal(2, service.Config{Workers: 1, QueueDepth: 2},
 		fastProbes(Config{SlotsPerBackend: 4, MaxBackoff: 20 * time.Millisecond, DisablePeerLookup: true}),
-		stubRunner(&executions, 5*time.Millisecond))
+		gatedRunner(&executions, 5*time.Millisecond, gate))
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer l.Close()
+	defer release()
+	occupyBackend(t, l, 0, 2)
+	occupyBackend(t, l, 1, 2)
 
 	const units = 24
 	job, err := l.Coordinator.Submit(sweepSpec(units))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	time.Sleep(60 * time.Millisecond) // dispatches meet full queues
+	release()
 	waitClusterDone(t, job)
 	if job.State() != service.JobDone {
 		t.Fatalf("job state = %v, want done (err: %v)", job.State(), job.Err())
 	}
 	if got := executions.Load(); got != units {
 		t.Fatalf("executions = %d, want %d", got, units)
+	}
+	if l.Coordinator.met.unitBackoffs.Value() == 0 {
+		t.Fatalf("no backpressure retries despite full backend queues")
 	}
 }
 
@@ -430,6 +500,7 @@ func TestClusterDrainTimeoutSealsQueuedUnits(t *testing.T) {
 // state — instead of requeueing forever.
 func TestClusterBackpressureCapFailsUnit(t *testing.T) {
 	var executions atomic.Int64
+	gate := make(chan struct{})
 	l, err := StartLocal(1, service.Config{Workers: 1, QueueDepth: 1},
 		fastProbes(Config{
 			SlotsPerBackend:    4,
@@ -437,15 +508,17 @@ func TestClusterBackpressureCapFailsUnit(t *testing.T) {
 			MaxBackoffsPerUnit: 2,
 			DisablePeerLookup:  true,
 		}),
-		stubRunner(&executions, 50*time.Millisecond))
+		gatedRunner(&executions, 50*time.Millisecond, gate))
 	if err != nil {
 		t.Fatalf("StartLocal: %v", err)
 	}
 	defer l.Close()
+	defer close(gate)
 
-	// 12 units against a 1-deep, 50ms-per-unit backend: a 2-backoff budget
-	// (~10ms) cannot outlast the ~600ms of queued work, so some units must
-	// exhaust their retries.
+	// 12 units against a 1-deep backend whose worker and queue another
+	// client holds for the whole job: a 2-backoff budget (~10ms) cannot
+	// outlast it, so the units must exhaust their retries.
+	occupyBackend(t, l, 0, 1)
 	job, err := l.Coordinator.Submit(sweepSpec(12))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -456,5 +529,131 @@ func TestClusterBackpressureCapFailsUnit(t *testing.T) {
 	}
 	if msg := job.Err().Error(); !strings.Contains(msg, "backpressured") {
 		t.Fatalf("job err = %q, want a backpressure-exhausted failure", msg)
+	}
+}
+
+// TestClusterCapacityStealsQueuedUnit sends two single-unit jobs the ring
+// routes to the same owner over two single-worker backends. The owner
+// advertises one worker, so the second unit must stay at the coordinator
+// and be stolen by the idle backend instead of queueing behind the first:
+// both run concurrently, and no backend ever holds more units — queued
+// inside it or running — than it advertised.
+func TestClusterCapacityStealsQueuedUnit(t *testing.T) {
+	started := make(chan struct{}, 2)
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	l, err := StartLocal(2, service.Config{Workers: 1}, fastProbes(Config{DisablePeerLookup: true}),
+		service.WithRunner(func(ctx context.Context, u service.UnitSpec) (*stats.Run, error) {
+			select {
+			case started <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-gate:
+			}
+			return &stats.Run{Benchmark: u.Bench, Model: u.ModelName}, nil
+		}))
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	defer l.Close()
+	defer release()
+
+	// Two single-run specs whose keys share a ring owner.
+	var specs []service.JobSpec
+	owner := -1
+	for seed := int64(1); len(specs) < 2; seed++ {
+		spec := service.JobSpec{Model: "2P", Bench: "300.twolf", Seed: seed}
+		units, err := service.ExpandUnits(spec, 1024)
+		if err != nil {
+			t.Fatalf("expand: %v", err)
+		}
+		if o := l.Coordinator.ring.preference(units[0].Key())[0]; owner < 0 || o == owner {
+			owner = o
+			specs = append(specs, spec)
+		}
+	}
+
+	// Sample the coordinator's in-flight accounting for the whole test. A
+	// unit counts as in flight from dispatch until its result is collected,
+	// which spans its whole stay on the backend, so in-flight units above
+	// capacity are the only way a backend can hold more than it advertised.
+	var excess atomic.Int64 // most units in flight beyond capacity seen
+	stopSampling := make(chan struct{})
+	defer close(stopSampling)
+	go func() {
+		for {
+			for _, b := range l.Coordinator.sched.snapshot() {
+				if over := int64(b.Inflight - b.Capacity); over > excess.Load() {
+					excess.Store(over)
+				}
+			}
+			select {
+			case <-stopSampling:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
+
+	var jobs []*Job
+	for i, spec := range specs {
+		job, err := l.Coordinator.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, job)
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("unit %d never started: it waits behind the owner's busy worker", i)
+		}
+	}
+
+	// Both units are running and held there: the state is stable.
+	for i, b := range l.Coordinator.sched.snapshot() {
+		if b.Capacity != 1 || b.Inflight != 1 {
+			t.Errorf("backend %d: capacity %d inflight %d, want 1 and 1", i, b.Capacity, b.Inflight)
+		}
+	}
+	if stolen := l.Coordinator.sched.snapshot()[1-owner].Stolen; stolen != 1 {
+		t.Errorf("non-owner stole %d units, want 1", stolen)
+	}
+
+	release()
+	for _, job := range jobs {
+		waitClusterDone(t, job)
+		if job.State() != service.JobDone {
+			t.Fatalf("job state = %v, want done (err: %v)", job.State(), job.Err())
+		}
+	}
+	if over := excess.Load(); over > 0 {
+		t.Fatalf("a backend held %d units in flight beyond its capacity", over)
+	}
+}
+
+// TestClusterProbeRecordsCapacity checks the prober turns a backend's
+// advertised worker count into its dispatch capacity, capped by
+// SlotsPerBackend.
+func TestClusterProbeRecordsCapacity(t *testing.T) {
+	for _, tc := range []struct{ workers, slots, want int }{{3, 4, 3}, {8, 4, 4}} {
+		var executions atomic.Int64
+		l, err := StartLocal(1, service.Config{Workers: tc.workers},
+			fastProbes(Config{SlotsPerBackend: tc.slots}), stubRunner(&executions, 0))
+		if err != nil {
+			t.Fatalf("StartLocal: %v", err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for l.Coordinator.sched.snapshot()[0].Capacity != tc.want {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers %d, slots %d: capacity = %d, want %d", tc.workers, tc.slots,
+					l.Coordinator.sched.snapshot()[0].Capacity, tc.want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		l.Close()
 	}
 }

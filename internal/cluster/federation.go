@@ -89,8 +89,9 @@ func (f *fedCache) abandon(e *fedEntry) {
 	close(e.done)
 }
 
-// complete seals an entry with the first result (or error) to arrive and
-// reports whether this call won. A losing concurrent completion — a stolen
+// complete seals an entry with the first result (or error) to arrive,
+// counts it as a completed (or failed) unit, and reports whether this call
+// won. A losing concurrent completion — a stolen
 // or re-routed unit finishing twice — is dropped and counted; the stored
 // result never changes after sealing. Completing with an error removes the
 // entry so a later submission can retry the key.
@@ -105,6 +106,13 @@ func (f *fedCache) complete(e *fedEntry, res *service.UnitResult, origin string,
 		delete(f.entries, e.key)
 	}
 	f.met.fedEntries.Set(int64(len(f.entries)))
+	// Count the seal before waking waiters, so a job seen done has every
+	// unit counted.
+	if err != nil {
+		f.met.unitsFailed.Inc()
+	} else {
+		f.met.unitsCompleted.Inc()
+	}
 	e.result, e.origin, e.err = res, origin, err
 	e.sealed = true
 	close(e.done)

@@ -23,6 +23,9 @@ type BackendStatus struct {
 	Up       bool   `json:"up"`
 	Queued   int    `json:"queued"`
 	Inflight int    `json:"inflight"`
+	// Capacity is how many units the coordinator keeps in flight on this
+	// backend: its advertised worker count, at most SlotsPerBackend.
+	Capacity int `json:"capacity"`
 	// Executed counts units actually simulated on this backend; PeerServed
 	// counts units its slots completed from a peer's cache instead.
 	Executed   int64 `json:"executed"`

@@ -21,19 +21,23 @@ type unitTask struct {
 }
 
 // scheduler owns all mutable routing state: one queue per backend, the
-// per-backend liveness flags the prober maintains, and the in-flight
-// accounting the dispatch slots update. A single mutex guards all of it —
-// membership is small (a handful of backends) and every operation is a few
-// slice moves, so one lock keeps the ownership/steal invariant trivially
-// auditable: a task is in exactly one queue, or in exactly one dispatch
-// slot, never both.
+// per-backend liveness flags and capacities the prober maintains, and the
+// in-flight accounting the dispatch slots update. A single mutex guards all
+// of it — membership is small (a handful of backends) and every operation
+// is a few slice moves, so one lock keeps the ownership/steal invariant
+// trivially auditable: a task is in exactly one queue, or in exactly one
+// dispatch slot, never both.
 type scheduler struct {
 	met *clusterMetrics
 
 	// wake carries one token per backend: dispatch slots park on it when
-	// both their own queue and every steal candidate are empty. Buffered so
-	// an enqueue never blocks; immutable after construction.
+	// their backend is at capacity, or when both its own queue and every
+	// steal candidate are empty. Buffered so an enqueue never blocks;
+	// immutable after construction.
 	wake []chan struct{}
+	// slots is the number of dispatch slots per backend, the upper bound
+	// on any backend's capacity; immutable after construction.
+	slots int
 
 	mu sync.Mutex
 	//flea:guardedby(mu)
@@ -46,6 +50,8 @@ type scheduler struct {
 	probeOKs []int // consecutive successful probes per backend
 	//flea:guardedby(mu)
 	inflight []int
+	//flea:guardedby(mu)
+	capacity []int // units a backend may hold in flight: its advertised workers, clamped to [1, slots]
 	//flea:guardedby(mu)
 	queued int // total across queues
 	//flea:guardedby(mu)
@@ -73,22 +79,25 @@ const (
 	taskPeerServed
 )
 
-func newScheduler(n int, met *clusterMetrics) *scheduler {
+func newScheduler(n, slots int, met *clusterMetrics) *scheduler {
 	s := &scheduler{
 		met:        met,
 		wake:       make([]chan struct{}, n),
+		slots:      slots,
 		queues:     make([][]*unitTask, n),
 		up:         make([]bool, n),
 		probeFails: make([]int, n),
 		probeOKs:   make([]int, n),
 		inflight:   make([]int, n),
+		capacity:   make([]int, n),
 		executed:   make([]int64, n),
 		peerServed: make([]int64, n),
 		stolen:     make([]int64, n),
 	}
 	for i := range s.wake {
 		s.wake[i] = make(chan struct{}, 1)
-		s.up[i] = true // optimistic until the prober says otherwise
+		s.up[i] = true    // optimistic until the prober says otherwise
+		s.capacity[i] = 1 // until the first successful probe advertises more
 	}
 	met.backendsUp.Set(int64(n))
 	return s
@@ -146,10 +155,17 @@ func (s *scheduler) tryEnqueueAll(tasks []*unitTask, bound int) bool {
 	}
 	s.queued += len(tasks)
 	s.met.queuedUnits.Set(int64(s.queued))
+	spill := false
+	for _, b := range targets {
+		spill = spill || s.overflowLocked(b) > 0
+	}
 	s.mu.Unlock()
 	for _, b := range targets {
 		s.met.unitsRouted.Inc()
 		s.signal(b)
+	}
+	if spill {
+		s.signalAll()
 	}
 	return true
 }
@@ -180,16 +196,37 @@ func (s *scheduler) requeue(t *unitTask, avoid int) bool {
 	s.queues[target] = append(s.queues[target], t)
 	s.queued++
 	s.met.queuedUnits.Set(int64(s.queued))
+	spill := s.overflowLocked(target) > 0
 	s.mu.Unlock()
 	s.signal(target)
+	if spill {
+		s.signalAll()
+	}
 	return true
 }
 
+// overflowLocked is how many of backend b's queued tasks its own slots
+// cannot start now because b is at capacity: the tasks an idle backend may
+// steal. Caller holds s.mu.
+//
+//flea:locked(mu)
+func (s *scheduler) overflowLocked(b int) int {
+	free := s.capacity[b] - s.inflight[b]
+	if free < 0 {
+		free = 0 // capacity shrank below what is already in flight
+	}
+	return len(s.queues[b]) - free
+}
+
 // next pops the next task for a dispatch slot of backend b: the head of its
-// own queue, or — when idle — a steal from the tail of the longest other
-// live backend's queue. Returns nil when there is nothing to do. The pop
-// and the steal run under one lock acquisition, so a task can never be
-// taken twice (the steal-vs-complete race the tests drive).
+// own queue, or — when that is empty — a steal from the tail of the other
+// live backend with the most overflow (queued tasks its own slots cannot
+// start because it is at capacity). Returns nil when there is nothing to
+// do, or when b already holds as many units in flight as its capacity:
+// queued units then stay here, where an idle backend's slot can steal them,
+// instead of queueing inside b behind its busy workers. The pop and the
+// steal run under one lock acquisition, so a task can never be taken twice
+// (the steal-vs-complete race the tests drive).
 func (s *scheduler) next(b int) *unitTask {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,6 +236,9 @@ func (s *scheduler) next(b int) *unitTask {
 	if !s.up[b] {
 		return nil // a down backend's slots park until mark-up
 	}
+	if s.inflight[b] >= s.capacity[b] {
+		return nil // at capacity: park until taskDone or a probe frees room
+	}
 	if len(s.queues[b]) > 0 {
 		t := s.queues[b][0]
 		s.queues[b][0] = nil
@@ -206,15 +246,7 @@ func (s *scheduler) next(b int) *unitTask {
 		s.taskPoppedLocked(b)
 		return t
 	}
-	// Idle: steal from the straggler with the longest queue. Ties break on
-	// the lowest index, keeping victim choice deterministic for a given
-	// queue state.
-	victim, longest := -1, 0
-	for i := range s.queues {
-		if i != b && s.up[i] && len(s.queues[i]) > longest {
-			victim, longest = i, len(s.queues[i])
-		}
-	}
+	victim := s.victimLocked(b)
 	if victim < 0 {
 		return nil
 	}
@@ -228,8 +260,31 @@ func (s *scheduler) next(b int) *unitTask {
 	return t
 }
 
-// taskPoppedLocked moves one task from queued to in-flight accounting.
+// victimLocked picks the backend an idle slot of b steals from: the other
+// live backend with the most overflow, or -1 when none has any. A backend
+// with free capacity is left its own queue — its slots were signalled, and
+// the unit keeps its owner's cache affinity. Ties break on the lowest
+// index, keeping victim choice deterministic for a given queue state.
 // Caller holds s.mu.
+//
+//flea:locked(mu)
+func (s *scheduler) victimLocked(b int) int {
+	victim, most := -1, 0
+	for i := range s.queues {
+		if i == b || !s.up[i] {
+			continue
+		}
+		if over := s.overflowLocked(i); over > most {
+			victim, most = i, over
+		}
+	}
+	return victim
+}
+
+// taskPoppedLocked moves one task from queued to b's in-flight accounting.
+// When b still has room and work remains for it, it passes the wake-up on
+// to another of b's parked slots: one enqueue signal can thus fill every
+// free slot, stealing included. Caller holds s.mu.
 //
 //flea:locked(mu)
 func (s *scheduler) taskPoppedLocked(b int) {
@@ -237,10 +292,14 @@ func (s *scheduler) taskPoppedLocked(b int) {
 	s.inflight[b]++
 	s.met.queuedUnits.Set(int64(s.queued))
 	s.met.inflight.Add(1)
+	if s.inflight[b] < s.capacity[b] && (len(s.queues[b]) > 0 || s.victimLocked(b) >= 0) {
+		s.signal(b)
+	}
 }
 
-// taskDone retires a task from backend b's in-flight accounting. Simulated
-// and peer-served completions count separately so /clusterz's executed[]
+// taskDone retires a task from backend b's in-flight accounting and
+// signals b, so a slot parked at capacity re-checks. Simulated and
+// peer-served completions count separately so /clusterz's executed[]
 // reflects only real simulations on b.
 func (s *scheduler) taskDone(b int, outcome taskOutcome) {
 	s.mu.Lock()
@@ -253,6 +312,21 @@ func (s *scheduler) taskDone(b int, outcome taskOutcome) {
 	}
 	s.mu.Unlock()
 	s.met.inflight.Add(-1)
+	s.signal(b)
+}
+
+// setCapacity records the worker count backend b advertised on a
+// successful probe as its capacity, clamped to [1, slots]. A larger
+// capacity wakes that many more of b's parked slots to take up queued work.
+func (s *scheduler) setCapacity(b, workers int) {
+	n := min(max(workers, 1), s.slots)
+	s.mu.Lock()
+	grew := n - s.capacity[b]
+	s.capacity[b] = n
+	s.mu.Unlock()
+	for ; grew > 0; grew-- {
+		s.signal(b)
+	}
 }
 
 // isUp reports whether backend b is currently marked up.
@@ -319,6 +393,7 @@ func (s *scheduler) snapshot() []BackendStatus {
 			Up:         s.up[i],
 			Queued:     len(s.queues[i]),
 			Inflight:   s.inflight[i],
+			Capacity:   s.capacity[i],
 			Executed:   s.executed[i],
 			PeerServed: s.peerServed[i],
 			Stolen:     s.stolen[i],

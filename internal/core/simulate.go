@@ -83,8 +83,7 @@ func ComputeReference(prog *program.Program, maxSteps int64, opts ...RefOption) 
 	var steps int64
 	for !e.Halted() {
 		if steps >= maxSteps {
-			return nil, fmt.Errorf("core: reference: program %q exceeded %d instructions without halting",
-				prog.Name, maxSteps)
+			return nil, errReferenceBudget(prog, maxSteps)
 		}
 		if err := e.Step(); err != nil {
 			return nil, fmt.Errorf("core: reference execution: %w", err)
@@ -98,6 +97,25 @@ func ComputeReference(prog *program.Program, maxSteps int64, opts ...RefOption) 
 	ref.Result = e.Result()
 	ref.Stores = &log
 	return ref, nil
+}
+
+// errReferenceBudget is ComputeReference's error for a program that does not
+// halt within maxSteps instructions.
+func errReferenceBudget(prog *program.Program, maxSteps int64) error {
+	return fmt.Errorf("core: reference: program %q exceeded %d instructions without halting",
+		prog.Name, maxSteps)
+}
+
+// WithinBudget returns the error ComputeReference(prog, maxSteps) would
+// return instead of r — nil when the complete execution r records halts
+// within maxSteps instructions. A reference computed once under a generous
+// bound thereby stands in for a fresh one under any smaller bound, error
+// text included.
+func (r *Reference) WithinBudget(prog *program.Program, maxSteps int64) error {
+	if r.Result.Instructions > maxSteps {
+		return errReferenceBudget(prog, maxSteps)
+	}
+	return nil
 }
 
 // functionalSnapshot captures the reference executor's architectural state

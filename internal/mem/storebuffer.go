@@ -60,9 +60,17 @@ const (
 // bytes from the youngest overlapping older store entries with bytes from
 // img. size must be ≤ 8.
 //
+// One pass over the older entries first decides whether any overlaps the
+// load at all; only then are bytes merged, each from its youngest covering
+// entry. Most loads meet no buffered store, so they pay one linear scan
+// instead of size scans.
+//
 //flea:hotpath
 func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) (val uint64, res ForwardResult) {
 	val = img.Read(addr, size)
+	if !b.olderOverlap(loadID, addr, size) {
+		return val, ForwardNone
+	}
 	for i := 0; i < size; i++ {
 		byteAddr := addr + uint32(i)
 		// Scan youngest-first among entries older than the load.
@@ -86,6 +94,25 @@ func (b *StoreBuffer) Forward(loadID uint64, addr uint32, size int, img *Image) 
 		}
 	}
 	return val, res
+}
+
+// olderOverlap reports whether any entry older than loadID shares a byte
+// with [addr, addr+size). Both ranges are taken modulo 2^32, exactly as
+// overlapsByte takes them, so Forward's merge finds a covering entry for
+// some byte whenever this holds.
+//
+//flea:hotpath
+func (b *StoreBuffer) olderOverlap(loadID uint64, addr uint32, size int) bool {
+	for j := range b.entries {
+		e := &b.entries[j]
+		if e.ID >= loadID {
+			return false // entries are ordered by ID: the rest are younger
+		}
+		if e.Addr-addr < uint32(size) || addr-e.Addr < uint32(e.Size) {
+			return true
+		}
+	}
+	return false
 }
 
 // OlderUnknownOverlap reports whether any entry older than loadID overlaps

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +133,71 @@ func TestStoreBufferForwardEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// forwardPerByte is the reference Forward: every byte of the load rescans
+// the buffer youngest-first for its covering older entry.
+func forwardPerByte(b *StoreBuffer, loadID uint64, addr uint32, size int, img *Image) (val uint64, res ForwardResult) {
+	val = img.Read(addr, size)
+	for i := 0; i < size; i++ {
+		byteAddr := addr + uint32(i)
+		for j := len(b.entries) - 1; j >= 0; j-- {
+			e := &b.entries[j]
+			if e.ID >= loadID || !e.overlapsByte(byteAddr) {
+				continue
+			}
+			if !e.DataKnown {
+				return 0, ForwardUnknown
+			}
+			shift := uint((byteAddr - e.Addr) * 8)
+			val &^= 0xFF << uint(i*8)
+			val |= uint64(byte(e.Data>>shift)) << uint(i*8)
+			res = ForwardHit
+			break
+		}
+	}
+	return val, res
+}
+
+// TestStoreBufferForwardMatchesPerByteOracle drives Forward and the
+// per-byte reference over random buffers — entries of every size, some
+// with unknown data, clustered so they overlap each other and the loads,
+// some straddling the top of the address space — and random loads with IDs
+// below, among and above the entries'.
+func TestStoreBufferForwardMatchesPerByteOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{1, 2, 4, 8}
+	for trial := 0; trial < 2000; trial++ {
+		base := rng.Uint32()
+		if trial%4 == 0 {
+			base = ^uint32(0) - 12 // ranges wrap past 2^32
+		}
+		img := NewImage()
+		for i := uint32(0); i < 40; i += 8 {
+			img.Write(base+i, 8, rng.Uint64())
+		}
+		var b StoreBuffer
+		n := rng.Intn(9)
+		for i := 0; i < n; i++ {
+			b.Insert(StoreEntry{
+				ID:        uint64(2*i + 2),
+				Addr:      base + uint32(rng.Intn(32)),
+				Size:      sizes[rng.Intn(4)],
+				Data:      rng.Uint64(),
+				DataKnown: rng.Intn(5) != 0,
+			})
+		}
+		for k := 0; k < 8; k++ {
+			loadID := uint64(rng.Intn(2*n + 4))
+			addr := base + uint32(rng.Intn(32))
+			size := sizes[rng.Intn(4)]
+			gotV, gotR := b.Forward(loadID, addr, size, img)
+			wantV, wantR := forwardPerByte(&b, loadID, addr, size, img)
+			if gotV != wantV || gotR != wantR {
+				t.Fatalf("trial %d: Forward(id %d, %#x, %d) = %#x,%v; per-byte %#x,%v; entries %+v",
+					trial, loadID, addr, size, gotV, gotR, wantV, wantR, b.entries)
+			}
+		}
 	}
 }

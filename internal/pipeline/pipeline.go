@@ -103,6 +103,11 @@ type FrontEnd struct {
 	pred  *bpred.Predictor
 	arena *Arena
 
+	// l1iLatency is the I-cache hit latency: a fetch costs extra cycles
+	// only beyond it. Read once here, not per fetch (Hierarchy.Config
+	// copies the whole memory configuration).
+	l1iLatency int
+
 	pc          int32
 	nextFetchAt int64
 	stalled     bool    // fetch blocked behind a no-prediction indirect branch
@@ -128,9 +133,10 @@ func NewFrontEnd(cfg Config, prog *program.Program, hier *mem.Hierarchy, pred *b
 	}
 	return &FrontEnd{
 		cfg: cfg, prog: prog, hier: hier, pred: pred,
-		arena: arena,
-		queue: make([]Group, cfg.QueueCap),
-		pc:    prog.Entry, nextID: 1,
+		arena:      arena,
+		l1iLatency: hier.Config().L1I.Latency,
+		queue:      make([]Group, cfg.QueueCap),
+		pc:         prog.Entry, nextID: 1,
 	}
 }
 
@@ -203,7 +209,7 @@ func (f *FrontEnd) Tick(now int64) {
 	lastLine := program.InstAddr(start+int32(len(g.Insts))-1) &^ (lineBytes - 1)
 	for line := firstLine; ; line += lineBytes {
 		lat, _ := f.hier.Fetch(line, now)
-		if e := lat - f.hier.Config().L1I.Latency; e > extra {
+		if e := lat - f.l1iLatency; e > extra {
 			extra = e
 		}
 		if line == lastLine {

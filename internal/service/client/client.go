@@ -176,23 +176,37 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any, want in
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// Health is the /healthz body.
+type Health struct {
+	Status string `json:"status"`
+	// Workers is a backend's worker-pool size; 0 when the server does not
+	// advertise one (a coordinator).
+	Workers int `json:"workers,omitempty"`
+}
+
 // Health probes /healthz. Any 200 is healthy; a draining server (503)
 // reports an error so callers mark it down and move on.
-func (c *Client) Health(ctx context.Context) error {
+func (c *Client) Health(ctx context.Context) (*Health, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxErrorBody))
-	if resp.StatusCode != http.StatusOK {
-		return &HTTPError{Status: resp.StatusCode, Msg: "unhealthy"}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, &HTTPError{Status: resp.StatusCode, Msg: "unhealthy"}
+	}
+	// Any 200 is healthy: a body that does not decode advertises nothing.
+	var h Health
+	_ = json.Unmarshal(body, &h)
+	return &h, nil
 }
 
 // SubmitAck is the acknowledgement of an admitted job.

@@ -86,7 +86,7 @@ func WithFuzzRunner(r FuzzRunner) Option {
 }
 
 // expandFuzz resolves a kind-"fuzz" spec into one unit per seed chunk.
-func (s *JobSpec) expandFuzz() ([]UnitSpec, error) {
+func (s *JobSpec) expandFuzz(maxUnits int) ([]UnitSpec, error) {
 	if s.Model != "" || s.Bench != "" || len(s.Models) > 0 || len(s.Benches) > 0 || s.Sweep != nil {
 		return nil, fmt.Errorf("%w: kind fuzz takes no model, bench or sweep axes", ErrInvalidSpec)
 	}
@@ -96,6 +96,13 @@ func (s *JobSpec) expandFuzz() ([]UnitSpec, error) {
 	chunk := s.Fuzz.ChunkSize
 	if chunk <= 0 {
 		chunk = defaultFuzzChunk
+	}
+	chunks := s.Fuzz.Programs / chunk
+	if s.Fuzz.Programs%chunk != 0 {
+		chunks++
+	}
+	if err := checkUnitCount(maxUnits, chunks); err != nil {
+		return nil, err
 	}
 	var units []UnitSpec
 	for off := 0; off < s.Fuzz.Programs; off += chunk {

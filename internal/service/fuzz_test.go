@@ -14,7 +14,7 @@ func fuzzSpec(programs, chunk int) JobSpec {
 
 func TestFuzzSpecExpandsIntoChunks(t *testing.T) {
 	spec := fuzzSpec(120, 50)
-	units, err := spec.expand()
+	units, err := spec.expand(testMaxUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFuzzSpecExpandsIntoChunks(t *testing.T) {
 		t.Fatal("different seed chunks share a cache key")
 	}
 	spec2 := fuzzSpec(120, 50)
-	again, err := spec2.expand()
+	again, err := spec2.expand(testMaxUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFuzzSpecValidation(t *testing.T) {
 		{Kind: "run", Model: "2P", Bench: "179.art", Fuzz: &FuzzSpec{Programs: 1}}, // fuzz on run
 	}
 	for i, spec := range cases {
-		if _, err := spec.expand(); !errors.Is(err, ErrInvalidSpec) {
+		if _, err := spec.expand(testMaxUnits); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("case %d: got %v, want ErrInvalidSpec", i, err)
 		}
 	}

@@ -256,19 +256,22 @@ func writeSSE(w io.Writer, event string, v any) {
 }
 
 // handleHealth is the load-balancer liveness probe: 200 while serving, 503
-// once draining.
+// once draining. workers advertises the worker-pool size, which a cluster
+// coordinator uses as this backend's dispatch capacity.
 //
 //flea:coldpath liveness only.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	body := map[string]any{
+		"status":    "ok",
+		"uptime_ms": float64(s.m.Uptime()) / float64(time.Millisecond),
+		"workers":   s.m.cfg.Workers,
+	}
 	if s.m.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "draining", "uptime_ms": float64(s.m.Uptime()) / float64(time.Millisecond),
-		})
+		body["status"] = "draining"
+		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "uptime_ms": float64(s.m.Uptime()) / float64(time.Millisecond),
-	})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleMetrics renders the service registry plus the job-latency

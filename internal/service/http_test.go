@@ -460,7 +460,7 @@ func TestJobIDsUnique(t *testing.T) {
 func TestHTTPSubmitUnits(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
-	units, err := ExpandUnits(JobSpec{Model: "2P", Bench: "300.twolf", Seed: 5})
+	units, err := ExpandUnits(JobSpec{Model: "2P", Bench: "300.twolf", Seed: 5}, testMaxUnits)
 	if err != nil {
 		t.Fatalf("expand: %v", err)
 	}
@@ -503,7 +503,7 @@ func TestHTTPSubmitUnits(t *testing.T) {
 func TestHTTPCacheLookup(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1})
 
-	units, err := ExpandUnits(JobSpec{Model: "2P", Bench: "300.twolf", Seed: 6})
+	units, err := ExpandUnits(JobSpec{Model: "2P", Bench: "300.twolf", Seed: 6}, testMaxUnits)
 	if err != nil {
 		t.Fatalf("expand: %v", err)
 	}

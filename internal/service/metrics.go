@@ -29,6 +29,12 @@ const (
 	// ((hits+coalesced)*1000 / lookups), kept current on every cache acquire
 	// so /metricsz and /clusterz read it without scraping logs.
 	GaugeCacheHitRatio = "service.cache.hit_ratio_permille"
+
+	// MetricReferencesComputed / MetricReferencesShared count the per-kernel
+	// functional references behind verified units: executions of the
+	// reference, and units verified against one computed earlier.
+	MetricReferencesComputed = "service.references.computed"
+	MetricReferencesShared   = "service.references.shared"
 )
 
 // Derived latency metric names rendered by /metricsz (quantiles over the
@@ -59,6 +65,9 @@ type serviceMetrics struct {
 	cacheEvictions   *metrics.SharedCounter
 	cachePeerLookups *metrics.SharedCounter
 	cachePeerHits    *metrics.SharedCounter
+
+	refsComputed *metrics.SharedCounter
+	refsShared   *metrics.SharedCounter
 
 	queueDepth    *metrics.SharedGauge
 	workersBusy   *metrics.SharedGauge
@@ -91,6 +100,8 @@ func newServiceMetrics(reg *metrics.Registry) *serviceMetrics {
 		cacheEvictions:   reg.SharedCounter(MetricCacheEvictions),
 		cachePeerLookups: reg.SharedCounter(MetricCachePeerLookups),
 		cachePeerHits:    reg.SharedCounter(MetricCachePeerHits),
+		refsComputed:     reg.SharedCounter(MetricReferencesComputed),
+		refsShared:       reg.SharedCounter(MetricReferencesShared),
 		queueDepth:       reg.SharedGauge(GaugeQueueDepth),
 		workersBusy:      reg.SharedGauge(GaugeWorkersBusy),
 		jobsActive:       reg.SharedGauge(GaugeJobsActive),

@@ -10,9 +10,14 @@
 //     submitted later are served from the cache. Cached and fresh results
 //     are byte-identical — the simulator is deterministic and the result is
 //     stored exactly once, at the execution that produced it.
+//   - Verification. Every verified unit is checked against its kernel's
+//     functional reference. The reference depends on the kernel alone, so
+//     the manager computes it once per kernel and shares it (refMemo);
+//     results and errors are those of a fresh reference execution.
 //   - Backpressure. Admission is all-or-nothing per job: when the queue
 //     cannot hold every fresh unit of a submission, the job is rejected
-//     with a retry-after hint instead of being half-admitted.
+//     with a retry-after hint instead of being half-admitted. A spec whose
+//     grid exceeds MaxUnitsPerJob is rejected before it is expanded.
 //   - Cancellation. Every job runs under a context with a per-job timeout;
 //     cancellation reaches the machines' cycle loops (checked every 4096
 //     cycles) through core.Simulate.
@@ -95,7 +100,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Runner executes one resolved unit. The default runs core.Simulate; tests
+// Runner executes one resolved unit. The default runs core.Simulate,
+// verifying against the manager's shared per-kernel reference; tests
 // substitute stubs to control timing and count executions.
 type Runner func(ctx context.Context, u UnitSpec) (*stats.Run, error)
 
@@ -115,6 +121,7 @@ type Manager struct {
 	met        *serviceMetrics
 	cache      *resultCache
 	queue      *taskQueue
+	refs       *refMemo
 	runner     Runner
 	fuzzRunner FuzzRunner
 	latency    *LatencyHistogram
@@ -151,12 +158,13 @@ func New(cfg Config, opts ...Option) *Manager {
 		met:        met,
 		cache:      newResultCache(cfg.CacheEntries, met),
 		queue:      newTaskQueue(cfg.QueueDepth, met.queueDepth),
-		runner:     defaultRunner,
+		refs:       newRefMemo(met),
 		fuzzRunner: defaultFuzzRunner,
 		latency:    &LatencyHistogram{},
 		started:    time.Now(),
 		jobs:       make(map[string]*Job),
 	}
+	m.runner = m.simulate
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(m)
@@ -194,17 +202,31 @@ func (m *Manager) CachedResult(key string) (*UnitResult, bool) {
 	return m.cache.peek(key)
 }
 
-// defaultRunner simulates one unit through the library façade.
-func defaultRunner(ctx context.Context, u UnitSpec) (*stats.Run, error) {
+// simulate is the default Runner: one unit through the library façade. A
+// verified unit is checked against its kernel's shared reference, which
+// yields the same stats.Run — or the same error — as core.WithVerify's
+// fresh reference execution.
+func (m *Manager) simulate(ctx context.Context, u UnitSpec) (*stats.Run, error) {
 	b, err := workload.ByName(u.Bench)
 	if err != nil {
 		return nil, err
 	}
+	prog := b.Program()
 	opts := []core.Option{core.WithConfig(u.Config)}
 	if u.Verify {
-		opts = append(opts, core.WithVerify())
+		ref, refErr := m.refs.get(b.Name, prog)
+		if refErr != nil {
+			// No shareable reference: verify the unshared way, which
+			// reports the reference execution's own error.
+			opts = append(opts, core.WithVerify())
+		} else {
+			if err := ref.WithinBudget(prog, u.Config.MaxCycles); err != nil {
+				return nil, err
+			}
+			opts = append(opts, core.WithReference(ref))
+		}
 	}
-	return core.Simulate(ctx, u.Model, b.Program(), opts...)
+	return core.Simulate(ctx, u.Model, prog, opts...)
 }
 
 // Submit validates and admits one job: the spec is expanded server-side
@@ -212,7 +234,7 @@ func defaultRunner(ctx context.Context, u UnitSpec) (*stats.Run, error) {
 // claim), and every claimed unit is enqueued all-or-nothing. The returned
 // job is already collecting; watch Done(), Status() or an SSE stream.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	units, err := spec.expand()
+	units, err := spec.expand(m.cfg.MaxUnitsPerJob)
 	if err != nil {
 		return nil, err
 	}

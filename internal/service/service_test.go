@@ -13,6 +13,10 @@ import (
 	"fleaflicker/internal/stats"
 )
 
+// testMaxUnits is the per-job unit limit the tests expand specs under (the
+// Config default).
+const testMaxUnits = 1024
+
 // runSpec is the canonical single-run submission used across the tests.
 func runSpec() JobSpec {
 	return JobSpec{Model: "2P", Bench: "300.twolf"}
@@ -492,7 +496,7 @@ func TestUnitKeyStability(t *testing.T) {
 		if mutate != nil {
 			mutate(&s)
 		}
-		units, err := s.expand()
+		units, err := s.expand(testMaxUnits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,13 +524,13 @@ func TestUnitKeyStability(t *testing.T) {
 	// override sets cq_size=64 — Params are presentation-only.
 	cq64 := 64
 	plain := JobSpec{Model: "2P", Bench: "300.twolf", Config: ConfigOverrides{CQSize: &cq64}}
-	pu, err := plain.expand()
+	pu, err := plain.expand(testMaxUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sweep := JobSpec{Kind: "sweep", Models: []string{"2P"}, Benches: []string{"300.twolf"},
 		Sweep: &SweepAxes{CQSizes: []int{64}}}
-	su, err := sweep.expand()
+	su, err := sweep.expand(testMaxUnits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,12 +173,14 @@ func modelByName(name string) (core.Model, error) {
 }
 
 // expand resolves the spec into its simulation units: validation, default
-// filling, and server-side cartesian expansion of the sweep grid.
-func (s *JobSpec) expand() ([]UnitSpec, error) {
+// filling, and server-side cartesian expansion of the sweep grid. A spec
+// that would expand to more than maxUnits units is rejected before any unit
+// is built: the grid size is counted first, without overflow.
+func (s *JobSpec) expand(maxUnits int) ([]UnitSpec, error) {
 	switch s.Kind {
 	case "", "run", "sweep":
 	case "fuzz":
-		return s.expandFuzz()
+		return s.expandFuzz(maxUnits)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q (have run, sweep, fuzz)", ErrInvalidSpec, s.Kind)
 	}
@@ -236,6 +238,14 @@ func (s *JobSpec) expand() ([]UnitSpec, error) {
 		}
 	}
 
+	sizes := []int{len(models), len(benches)}
+	for _, ax := range axes {
+		sizes = append(sizes, len(ax.values))
+	}
+	if err := checkUnitCount(maxUnits, sizes...); err != nil {
+		return nil, err
+	}
+
 	// points enumerates the grid coordinates: one []Param per point.
 	points := [][]Param{nil}
 	for _, ax := range axes {
@@ -286,4 +296,19 @@ func (s *JobSpec) expand() ([]UnitSpec, error) {
 		}
 	}
 	return units, nil
+}
+
+// checkUnitCount rejects a grid whose unit count — the product of sizes,
+// each at least 1 — exceeds maxUnits. It compares factor by factor instead
+// of forming the product, which a hostile spec can make overflow.
+func checkUnitCount(maxUnits int, sizes ...int) error {
+	n := 1
+	for _, f := range sizes {
+		if n > maxUnits/f { // n*f > maxUnits
+			return fmt.Errorf("%w: spec expands to more units than the per-job limit of %d",
+				ErrInvalidSpec, maxUnits)
+		}
+		n *= f
+	}
+	return nil
 }

@@ -17,9 +17,10 @@ import (
 
 // ExpandUnits resolves a JobSpec into its simulation units exactly as
 // Submit would: validation, default filling, and server-side cartesian
-// expansion of sweep grids and fuzz seed chunks.
-func ExpandUnits(spec JobSpec) ([]UnitSpec, error) {
-	return spec.expand()
+// expansion of sweep grids and fuzz seed chunks. A spec expanding to more
+// than maxUnits units fails with ErrInvalidSpec before any unit is built.
+func ExpandUnits(spec JobSpec, maxUnits int) ([]UnitSpec, error) {
+	return spec.expand(maxUnits)
 }
 
 // WireUnit is the JSON form of one fully resolved UnitSpec, carrying every

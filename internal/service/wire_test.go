@@ -9,7 +9,7 @@ import (
 // expandOne is a helper returning the single unit a spec expands to.
 func expandOne(t *testing.T, spec JobSpec) UnitSpec {
 	t.Helper()
-	units, err := ExpandUnits(spec)
+	units, err := ExpandUnits(spec, testMaxUnits)
 	if err != nil {
 		t.Fatalf("ExpandUnits: %v", err)
 	}
