@@ -317,15 +317,21 @@ func (s *scheduler) taskDone(b int, outcome taskOutcome) {
 
 // setCapacity records the worker count backend b advertised on a
 // successful probe as its capacity, clamped to [1, slots]. A larger
-// capacity wakes that many more of b's parked slots to take up queued work.
+// capacity wakes that many more of b's parked slots to take up queued work;
+// a smaller one can turn units already queued on b into overflow, so it
+// wakes every backend to steal them.
 func (s *scheduler) setCapacity(b, workers int) {
 	n := min(max(workers, 1), s.slots)
 	s.mu.Lock()
 	grew := n - s.capacity[b]
 	s.capacity[b] = n
+	spill := grew < 0 && s.overflowLocked(b) > 0
 	s.mu.Unlock()
 	for ; grew > 0; grew-- {
 		s.signal(b)
+	}
+	if spill {
+		s.signalAll()
 	}
 }
 

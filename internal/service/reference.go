@@ -42,9 +42,8 @@ func newRefMemo(met *serviceMetrics) *refMemo {
 }
 
 // get returns the reference for the named kernel, computing it on first use
-// under the default instruction bound. An error means the kernel has no
-// shareable reference; the caller then verifies the unit the unshared way,
-// which reproduces that error (or a tighter-bound one) exactly.
+// under the default instruction bound. A failed computation is memoized
+// like a successful one: reference execution is deterministic per kernel.
 func (r *refMemo) get(name string, prog *program.Program) (*core.Reference, error) {
 	r.mu.Lock()
 	e := r.refs[name]

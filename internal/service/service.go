@@ -214,17 +214,14 @@ func (m *Manager) simulate(ctx context.Context, u UnitSpec) (*stats.Run, error) 
 	prog := b.Program()
 	opts := []core.Option{core.WithConfig(u.Config)}
 	if u.Verify {
-		ref, refErr := m.refs.get(b.Name, prog)
-		if refErr != nil {
-			// No shareable reference: verify the unshared way, which
-			// reports the reference execution's own error.
-			opts = append(opts, core.WithVerify())
-		} else {
-			if err := ref.WithinBudget(prog, u.Config.MaxCycles); err != nil {
-				return nil, err
-			}
-			opts = append(opts, core.WithReference(ref))
+		ref, err := m.refs.get(b.Name, prog)
+		if err != nil {
+			return nil, err
 		}
+		if err := ref.WithinBudget(prog, u.Config.MaxCycles); err != nil {
+			return nil, err
+		}
+		opts = append(opts, core.WithReference(ref))
 	}
 	return core.Simulate(ctx, u.Model, prog, opts...)
 }
